@@ -87,8 +87,9 @@ Advice Advisor::advise(const AppCharacteristics& app) const {
   advice.best = advice.ranked.front();
 
   // Paper-style classification and rationale.
-  const bool fits_hbm =
-      app.footprint_bytes <= machine_.config().timing.hbm.capacity_bytes;
+  const sim::MemoryTopology& topology = machine_.memory_topology();
+  const sim::MemoryTier& fast = topology.tier(static_cast<std::size_t>(topology.fast_tier()));
+  const bool fits_hbm = app.footprint_bytes <= fast.params.capacity_bytes;
   std::ostringstream why;
   if (app.flops_per_byte > 8.0) {
     advice.classification = "compute-bound";
@@ -102,8 +103,9 @@ Advice Advisor::advise(const AppCharacteristics& app) const {
            "latency hurts unless hardware threads add concurrency; ";
   }
   if (!fits_hbm) {
-    why << "footprint exceeds MCDRAM (" << app.footprint_bytes / GiB
-        << " GiB > 16 GiB): flat HBM infeasible, cache mode degrades with size; ";
+    why << "footprint exceeds " << fast.name << " (" << app.footprint_bytes / GiB << " GiB > "
+        << fast.params.capacity_bytes / GiB
+        << " GiB): flat HBM infeasible, cache mode degrades with size; ";
   }
   why << "best: " << to_string(advice.best.config) << " @ " << advice.best.threads
       << " threads (" << std::fixed << std::setprecision(2)

@@ -4,10 +4,18 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/page_table.hpp"
-#include "sim/physical_memory.hpp"
-
 namespace knl {
+
+namespace {
+
+/// Fractions placing every byte on `tier`.
+std::vector<double> all_on(const sim::MemoryTopology& topology, int tier) {
+  std::vector<double> fractions(topology.tier_count(), 0.0);
+  fractions[static_cast<std::size_t>(tier)] = 1.0;
+  return fractions;
+}
+
+}  // namespace
 
 Machine::Machine(MachineConfig config) : config_(config), timing_(config.timing) {
   config_.validate();
@@ -78,8 +86,6 @@ Machine::Resolved Machine::resolve_waterfall(std::uint64_t resident_bytes, int p
   if (resident_bytes == 0) {
     resolved.fractions[static_cast<std::size_t>(preferred)] = 1.0;
   }
-  resolved.hbm_fraction = resolved.fractions[static_cast<std::size_t>(
-      topology_.fast_tier())];
   return resolved;
 }
 
@@ -126,77 +132,31 @@ Machine::Resolved Machine::resolve_interleave(std::uint64_t resident_bytes) cons
           static_cast<double>(taken[i]) / static_cast<double>(resident_bytes);
     }
   }
-  resolved.hbm_fraction = resolved.fractions[static_cast<std::size_t>(
-      topology_.fast_tier())];
   return resolved;
 }
 
-Machine::Resolved Machine::resolve_placement(std::uint64_t resident_bytes,
-                                             MemConfig config) const {
-  if (tiered()) {
-    // N-tier path: membind to the fast tier is strict (numactl semantics);
-    // DRAM and cache-mode residency waterfalls down the backing chain
-    // (DDR overflow demotes to NVM instead of failing).
-    if (config == MemConfig::HBM) {
-      return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/true);
-    }
-    return resolve_waterfall(resident_bytes, topology_.dram_tier(), /*strict=*/false);
-  }
-  // Exercise the real placement machinery on a fresh process image so
-  // capacity failures surface exactly as numactl would make them.
-  sim::PhysicalMemory phys(config_.physical);
-  sim::PageTable pt(phys.page_bytes());
-
-  const mem::NumaPolicy policy = config == MemConfig::HBM
-                                     ? mem::NumaPolicy::membind(MemNode::HBM)
-                                     : mem::NumaPolicy::membind(MemNode::DDR);
-  const auto placed = policy.place(phys.page_bytes(), resident_bytes, phys, pt);
-  Resolved resolved;
-  if (!placed.ok) {
-    resolved.error = placed.error;
-    return resolved;
-  }
-  resolved.ok = true;
-  resolved.hbm_fraction = placed.hbm_fraction();
-  return resolved;
-}
-
-Machine::Resolved Machine::resolve_flat(std::uint64_t resident_bytes,
-                                        Placement placement) const {
-  if (tiered()) {
-    switch (placement) {
-      case Placement::DDR:
-        return resolve_waterfall(resident_bytes, topology_.dram_tier(), /*strict=*/false);
-      case Placement::HBM:
-        return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/true);
-      case Placement::Preferred:
-        return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/false);
-      case Placement::Interleave:
-        return resolve_interleave(resident_bytes);
-    }
-  }
-  sim::PhysicalMemory phys(config_.physical);
-  sim::PageTable pt(phys.page_bytes());
-  mem::NumaPolicy policy = mem::NumaPolicy::local();
+Machine::Resolved Machine::resolve(std::uint64_t resident_bytes,
+                                   Placement placement) const {
+  // membind to the fast tier is strict (numactl semantics); membind to
+  // DRAM (also cache mode's residency) and --preferred waterfall down the
+  // backing chain, so DDR overflow demotes to NVM where a machine declares
+  // one and fails otherwise.
   switch (placement) {
-    case Placement::DDR: policy = mem::NumaPolicy::membind(MemNode::DDR); break;
-    case Placement::HBM: policy = mem::NumaPolicy::membind(MemNode::HBM); break;
-    case Placement::Preferred: policy = mem::NumaPolicy::preferred(MemNode::HBM); break;
-    case Placement::Interleave: policy = mem::NumaPolicy::interleave(); break;
+    case Placement::DDR:
+      return resolve_waterfall(resident_bytes, topology_.dram_tier(), /*strict=*/false);
+    case Placement::HBM:
+      return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/true);
+    case Placement::Preferred:
+      return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/false);
+    case Placement::Interleave:
+      return resolve_interleave(resident_bytes);
   }
-  const auto placed = policy.place(phys.page_bytes(), resident_bytes, phys, pt);
-  Resolved resolved;
-  if (!placed.ok) {
-    resolved.error = placed.error;
-    return resolved;
-  }
-  resolved.ok = true;
-  resolved.hbm_fraction = placed.hbm_fraction();
-  return resolved;
+  throw std::invalid_argument("Machine: unknown placement");
 }
 
 DetailedRunResult Machine::run_impl(const trace::AccessProfile& profile,
-                                    const RunConfig& run_config, double hbm_fraction,
+                                    const RunConfig& run_config,
+                                    const std::vector<double>& fractions,
                                     bool want_phases) const {
   DetailedRunResult out;
   RunResult& r = out.summary;
@@ -205,35 +165,7 @@ DetailedRunResult Machine::run_impl(const trace::AccessProfile& profile,
   double latency_weight = 0.0;
   double hit_weight = 0.0;
   for (const auto& phase : profile.phases()) {
-    const sim::PhaseTiming t = timing_.time_phase(phase, run_config, hbm_fraction);
-    r.seconds += t.seconds;
-    r.bytes_from_memory += t.memory_bytes;
-    r.flops += phase.flops;
-    r.avg_latency_ns += t.effective_latency_ns * t.memory_bytes;
-    latency_weight += t.memory_bytes;
-    r.mcdram_hit_rate += t.mcdram_hit_rate * t.memory_bytes;
-    hit_weight += t.memory_bytes;
-    if (want_phases) out.phases.push_back(PhaseReport{phase.name, t});
-  }
-  if (latency_weight > 0.0) r.avg_latency_ns /= latency_weight;
-  if (hit_weight > 0.0) r.mcdram_hit_rate /= hit_weight;
-  if (r.seconds > 0.0) r.achieved_bw_gbs = r.bytes_from_memory / (r.seconds * 1e9);
-  return out;
-}
-
-DetailedRunResult Machine::run_impl_tiered(const trace::AccessProfile& profile,
-                                           const RunConfig& run_config,
-                                           const std::vector<double>& fractions,
-                                           bool want_phases) const {
-  DetailedRunResult out;
-  RunResult& r = out.summary;
-  r.feasible = true;
-
-  double latency_weight = 0.0;
-  double hit_weight = 0.0;
-  for (const auto& phase : profile.phases()) {
-    const sim::PhaseTiming t =
-        timing_.time_phase_tiered(phase, run_config, topology_, fractions);
+    const sim::PhaseTiming t = timing_.time_phase(phase, run_config, topology_, fractions);
     r.seconds += t.seconds;
     r.bytes_from_memory += t.memory_bytes;
     r.flops += phase.flops;
@@ -259,24 +191,20 @@ DetailedRunResult Machine::run_detailed(const trace::AccessProfile& profile,
   if (!run_config.valid()) throw std::invalid_argument("Machine::run: invalid RunConfig");
 
   const Resolved resolved =
-      resolve_placement(profile.resident_bytes(), run_config.config);
+      resolve(profile.resident_bytes(),
+              run_config.config == MemConfig::HBM ? Placement::HBM : Placement::DDR);
   if (!resolved.ok) {
     DetailedRunResult out;
     out.summary.feasible = false;
     out.summary.infeasible_reason = resolved.error;
     return out;
   }
-  if (tiered()) {
-    return run_impl_tiered(profile, run_config, resolved.fractions,
-                           /*want_phases=*/true);
-  }
-  const double hbm_fraction = run_config.config == MemConfig::HBM ? 1.0 : 0.0;
-  return run_impl(profile, run_config, hbm_fraction, /*want_phases=*/true);
+  return run_impl(profile, run_config, resolved.fractions, /*want_phases=*/true);
 }
 
 RunResult Machine::run_flat_placement(const trace::AccessProfile& profile, int threads,
                                       Placement placement) const {
-  const Resolved resolved = resolve_flat(profile.resident_bytes(), placement);
+  const Resolved resolved = resolve(profile.resident_bytes(), placement);
   if (!resolved.ok) {
     RunResult r;
     r.feasible = false;
@@ -285,9 +213,8 @@ RunResult Machine::run_flat_placement(const trace::AccessProfile& profile, int t
   }
   RunConfig rc;
   rc.threads = threads;
-  rc.config = MemConfig::DRAM;  // flat mode; split handled by hbm_fraction
-  if (tiered()) return run_impl_tiered(profile, rc, resolved.fractions, false).summary;
-  return run_impl(profile, rc, resolved.hbm_fraction, false).summary;
+  rc.config = MemConfig::DRAM;  // flat mode; the split is in the fractions
+  return run_impl(profile, rc, resolved.fractions, /*want_phases=*/false).summary;
 }
 
 RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
@@ -295,7 +222,9 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
   if (cache_fraction < 0.0 || cache_fraction > 1.0) {
     throw std::invalid_argument("run_hybrid: cache_fraction outside [0,1]");
   }
-  const auto hbm_total = config_.timing.hbm.capacity_bytes;
+  const int fast = topology_.fast_tier();
+  const int dram = topology_.dram_tier();
+  const auto hbm_total = topology_.tier(static_cast<std::size_t>(fast)).params.capacity_bytes;
   const auto cache_bytes =
       static_cast<std::uint64_t>(static_cast<double>(hbm_total) * cache_fraction);
   const auto flat_capacity = hbm_total - cache_bytes;
@@ -307,7 +236,8 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
     return r;
   }
   if (resident < flat_hbm_bytes) flat_hbm_bytes = resident;
-  if (resident - flat_hbm_bytes > config_.timing.ddr.capacity_bytes) {
+  if (resident - flat_hbm_bytes >
+      topology_.tier(static_cast<std::size_t>(dram)).params.capacity_bytes) {
     RunResult r;
     r.feasible = false;
     r.infeasible_reason = "hybrid: DDR cannot hold the spill";
@@ -317,13 +247,16 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
   // Rebuild a machine whose MCDRAM-cache capacity is the cache partition and
   // whose flat-HBM traffic share matches the explicit placement; the DDR
   // share then flows through the partial cache (cache-mode path).
-  MachineConfig hybrid_cfg = config_;
-  hybrid_cfg.timing.mcdram.capacity_bytes = std::max<std::uint64_t>(cache_bytes, 1);
-  const sim::TimingModel hybrid_timing(hybrid_cfg.timing);
+  sim::TimingConfig hybrid_cfg = config_.timing;
+  hybrid_cfg.mcdram.capacity_bytes = std::max<std::uint64_t>(cache_bytes, 1);
+  const sim::TimingModel hybrid_timing(hybrid_cfg);
 
-  const double hbm_fraction =
+  const double flat_share =
       resident == 0 ? 0.0
                     : static_cast<double>(flat_hbm_bytes) / static_cast<double>(resident);
+
+  const std::vector<double> on_fast = all_on(topology_, fast);
+  const std::vector<double> on_dram = all_on(topology_, dram);
 
   RunResult r;
   r.feasible = true;
@@ -337,10 +270,10 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
 
     trace::AccessPhase hbm_part = phase;
     trace::AccessPhase ddr_part = phase;
-    hbm_part.logical_bytes = phase.logical_bytes * hbm_fraction;
-    hbm_part.flops = phase.flops * hbm_fraction;
-    ddr_part.logical_bytes = phase.logical_bytes * (1.0 - hbm_fraction);
-    ddr_part.flops = phase.flops * (1.0 - hbm_fraction);
+    hbm_part.logical_bytes = phase.logical_bytes * flat_share;
+    hbm_part.flops = phase.flops * flat_share;
+    ddr_part.logical_bytes = phase.logical_bytes * (1.0 - flat_share);
+    ddr_part.flops = phase.flops * (1.0 - flat_share);
 
     // The two sub-streams share the cores' outstanding-request budget, so
     // their times add (equivalent to splitting concurrency when latency-
@@ -349,13 +282,13 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
     double bytes = 0.0;
     double lat_acc = 0.0;
     if (hbm_part.logical_bytes > 0.0) {
-      const auto t = hybrid_timing.time_phase(hbm_part, flat_rc, 1.0);
+      const auto t = hybrid_timing.time_phase(hbm_part, flat_rc, topology_, on_fast);
       seconds += t.seconds;
       bytes += t.memory_bytes;
       lat_acc += t.effective_latency_ns * t.memory_bytes;
     }
     if (ddr_part.logical_bytes > 0.0) {
-      const auto t = hybrid_timing.time_phase(ddr_part, cache_rc, 0.0);
+      const auto t = hybrid_timing.time_phase(ddr_part, cache_rc, topology_, on_dram);
       seconds += t.seconds;
       bytes += t.memory_bytes;
       lat_acc += t.effective_latency_ns * t.memory_bytes;
@@ -363,7 +296,7 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
     }
     if (phase.pattern == trace::Pattern::Compute && phase.flops > 0.0) {
       // Pure-compute phases do not split: time once at full flops.
-      const auto t = hybrid_timing.time_phase(phase, flat_rc, 0.0);
+      const auto t = hybrid_timing.time_phase(phase, flat_rc, topology_, on_dram);
       seconds = t.seconds;
     }
     r.seconds += seconds;

@@ -1,17 +1,16 @@
 // Machine: the top-level simulated KNL-class node.
 //
-// Combines the placement substrate (simulated physical memory, page table,
-// numactl-style policies) with the timing model. `run` executes one workload
+// Combines the resolved memory topology with the timing model. Every run is
+// one placement decision (waterfall or interleave over the declared tiers,
+// yielding the byte share each tier holds) followed by one timing rule
+// (TimingModel::time_phase over those shares). `run` executes one workload
 // profile under one of the paper's three configurations — including the
 // capacity feasibility rule the paper applies ("no measurements for HBM in
 // flat mode when the problem size exceeds its capacity").
 #pragma once
 
-#include <optional>
-
 #include "core/machine_config.hpp"
 #include "core/types.hpp"
-#include "mem/numa_policy.hpp"
 #include "mem/numa_topology.hpp"
 #include "sim/timing_model.hpp"
 #include "trace/profile.hpp"
@@ -44,11 +43,6 @@ class Machine {
     return topology_;
   }
 
-  /// True when runs are resolved through the N-tier waterfall path (three
-  /// or more declared tiers) rather than the two-node legacy path, which is
-  /// kept bit-identical for every historical machine.
-  [[nodiscard]] bool tiered() const noexcept { return topology_.tier_count() > 2; }
-
   /// NUMA topology the OS would expose under the given configuration.
   [[nodiscard]] mem::NumaTopology topology(MemConfig config) const;
 
@@ -78,35 +72,25 @@ class Machine {
                                      std::uint64_t flat_hbm_bytes) const;
 
  private:
-  /// Resolve placement: returns the HBM page fraction (two-node path) or
-  /// the per-tier fractions (tiered path), or an error string when the
+  /// Per-tier resident fractions of a placement, or the reason the
   /// configuration cannot hold the resident set.
   struct Resolved {
     bool ok = false;
     std::string error;
-    double hbm_fraction = 0.0;
-    /// Per-tier resident fractions; non-empty only on the tiered path.
     std::vector<double> fractions;
   };
-  [[nodiscard]] Resolved resolve_placement(std::uint64_t resident_bytes,
-                                           MemConfig config) const;
-  [[nodiscard]] Resolved resolve_flat(std::uint64_t resident_bytes,
-                                      Placement placement) const;
+  [[nodiscard]] Resolved resolve(std::uint64_t resident_bytes, Placement placement) const;
 
-  /// Tiered-path resolvers: waterfall from `preferred` down the backing
-  /// chain (strict = numactl membind, no spill) and round-robin interleave
-  /// across every tier.
+  /// Waterfall from `preferred` down the backing chain (strict = numactl
+  /// membind, no spill) and round-robin interleave across every tier.
   [[nodiscard]] Resolved resolve_waterfall(std::uint64_t resident_bytes, int preferred,
                                            bool strict) const;
   [[nodiscard]] Resolved resolve_interleave(std::uint64_t resident_bytes) const;
 
   [[nodiscard]] DetailedRunResult run_impl(const trace::AccessProfile& profile,
                                            const RunConfig& run_config,
-                                           double hbm_fraction, bool want_phases) const;
-  [[nodiscard]] DetailedRunResult run_impl_tiered(const trace::AccessProfile& profile,
-                                                  const RunConfig& run_config,
-                                                  const std::vector<double>& fractions,
-                                                  bool want_phases) const;
+                                           const std::vector<double>& fractions,
+                                           bool want_phases) const;
 
   MachineConfig config_;
   sim::TimingModel timing_;

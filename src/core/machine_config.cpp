@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "sim/physical_memory.hpp"
+
 namespace knl {
 
 namespace {
@@ -77,8 +79,6 @@ void MachineConfig::apply_topology(const sim::MemoryTopology& declared) {
       static_cast<std::size_t>(declared.dram_tier()));
   timing.hbm = fast.params;
   timing.ddr = dram.params;
-  physical.hbm = fast.params;
-  physical.ddr = dram.params;
   if (fast.cache_front) timing.mcdram.capacity_bytes = fast.params.capacity_bytes;
 }
 
@@ -101,19 +101,14 @@ void MachineConfig::validate() const {
           "(use apply_topology to keep them in sync)");
     }
   }
-  if (timing.ddr.capacity_bytes != physical.ddr.capacity_bytes ||
-      timing.hbm.capacity_bytes != physical.hbm.capacity_bytes) {
-    throw std::invalid_argument(
-        "MachineConfig: timing and physical views disagree on node capacities");
-  }
   if (timing.ddr.peak_bw_gbs <= 0.0 || timing.hbm.peak_bw_gbs <= 0.0) {
     throw std::invalid_argument("MachineConfig: bandwidths must be positive");
   }
   if (timing.ddr.idle_latency_ns <= 0.0 || timing.hbm.idle_latency_ns <= 0.0) {
     throw std::invalid_argument("MachineConfig: latencies must be positive");
   }
-  if (physical.page_bytes == 0 || timing.mcdram.capacity_bytes == 0) {
-    throw std::invalid_argument("MachineConfig: page and cache sizes must be positive");
+  if (timing.mcdram.capacity_bytes == 0) {
+    throw std::invalid_argument("MachineConfig: cache size must be positive");
   }
 }
 
@@ -152,12 +147,29 @@ std::uint64_t MachineConfig::fingerprint() const {
   mix(h, timing.seq_mlp_per_core);
   mix(h, timing.rand_mlp_per_thread);
   mix(h, timing.queue_coefficient);
-  // Physical view (frame layout drives cache-mode conflict behaviour).
-  mix(h, physical.page_bytes);
-  mix_node(h, physical.ddr);
-  mix_node(h, physical.hbm);
-  mix(h, physical.fragmentation);
-  mix(h, physical.seed);
+  // Frozen block. Configs used to carry a page-placement view (page size,
+  // DDR and HBM node envelopes, fragmentation, seed) mixed in here. No
+  // model code reads it any more, but goldens and persisted caches are keyed
+  // on the historical fingerprint, so the same bytes are mixed in the same
+  // order, rebuilt from what that view always held: the declared tiers when
+  // a topology is declared, else the default envelopes with the timing
+  // view's capacities. That is why knl7210_equal_latency() still mixes the
+  // default HBM latency here, not its timing view's equalized one.
+  mix(h, params::kPageBytes);
+  if (has_declared_topology()) {
+    mix_node(h, topology.tier(static_cast<std::size_t>(topology.dram_tier())).params);
+    mix_node(h, topology.tier(static_cast<std::size_t>(topology.fast_tier())).params);
+  } else {
+    params::NodeParams ddr = params::kDdr;
+    params::NodeParams hbm = params::kHbm;
+    ddr.capacity_bytes = timing.ddr.capacity_bytes;
+    hbm.capacity_bytes = timing.hbm.capacity_bytes;
+    mix_node(h, ddr);
+    mix_node(h, hbm);
+  }
+  const sim::PhysicalMemoryConfig page_view_defaults{};
+  mix(h, page_view_defaults.fragmentation);
+  mix(h, page_view_defaults.seed);
   // Topology: mixed only when it deviates from the canonical two-tier
   // derivation. A declaration equal to the derivation leaves the resolved
   // topology unchanged, so skipping it keeps the mapping injective *and*
@@ -208,7 +220,6 @@ MachineConfig MachineConfig::ddr_only() {
   // Shrink MCDRAM to a negligible sliver rather than zero so invariants and
   // topology math remain well-defined; HBM placements will simply fail.
   cfg.timing.hbm.capacity_bytes = params::kPageBytes;
-  cfg.physical.hbm.capacity_bytes = params::kPageBytes;
   return cfg;
 }
 

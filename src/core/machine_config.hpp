@@ -6,7 +6,6 @@
 #include <string>
 
 #include "sim/knl_params.hpp"
-#include "sim/physical_memory.hpp"
 #include "sim/timing_model.hpp"
 #include "sim/topology.hpp"
 
@@ -30,7 +29,6 @@ struct MachineConfig {
   int schema_version = kMachineSchemaVersion;
 
   sim::TimingConfig timing = {};
-  sim::PhysicalMemoryConfig physical = {};
 
   /// Declared memory topology (sim/topology.hpp). Empty tiers (the default)
   /// mean "derived": resolved_topology() synthesizes the canonical two-tier
@@ -52,17 +50,20 @@ struct MachineConfig {
   /// DDR4, the paper testbed shape).
   [[nodiscard]] sim::MemoryTopology resolved_topology() const;
 
-  /// Sanity-check invariants (capacities match between the two views,
-  /// parameters positive, declared topology consistent with the timing
-  /// view). Throws std::invalid_argument (or knl::Error CorruptInput from
+  /// Sanity-check invariants (parameters positive, declared topology
+  /// consistent with the timing view). Throws std::invalid_argument (or knl::Error CorruptInput from
   /// topology validation) on violation.
   void validate() const;
 
-  /// Content hash (FNV-1a) of every calibrated parameter in both the timing
-  /// and physical views. Two configs with equal fingerprints produce
-  /// bit-identical simulation results, so the sweep memoization cache
-  /// (report/sweep.hpp) keys on this — entries never leak between, say,
-  /// knl7210() and knl7210_equal_latency() machines.
+  /// Content hash (FNV-1a) of every calibrated parameter. Two configs with
+  /// equal fingerprints produce bit-identical simulation results, so the
+  /// sweep memoization cache (report/sweep.hpp) keys on this — entries never
+  /// leak between, say, knl7210() and knl7210_equal_latency() machines.
+  ///
+  /// The byte stream is frozen: it still mixes a block for the page-level
+  /// placement view machines no longer carry (see the .cpp), so the
+  /// fingerprints embedded in goldens and persisted caches stay valid.
+  /// Pinned by tests/core/fingerprint_pin_test.cpp.
   ///
   /// The topology is mixed in only when it differs from the canonical
   /// two-tier derivation: a declaration equal to the derivation adds zero
@@ -73,9 +74,9 @@ struct MachineConfig {
   /// fingerprint. Asserted by tests/core/fingerprint_topology_test.cpp.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Overwrite the declared topology and synchronize the timing and
-  /// physical views with it (fast tier -> hbm, DRAM tier -> ddr, cache-front
-  /// capacity -> mcdram cache capacity). The topology is validated first.
+  /// Overwrite the declared topology and synchronize the timing view with
+  /// it (fast tier -> hbm, DRAM tier -> ddr, cache-front capacity -> mcdram
+  /// cache capacity). The topology is validated first.
   void apply_topology(const sim::MemoryTopology& declared);
 
   /// Build a config from a machine file (sim::MemoryTopology machine-file

@@ -6,6 +6,19 @@
 
 namespace knl {
 
+namespace {
+
+/// Tier fractions of a structure with `fast_share` of its pages in the fast
+/// tier and the rest in the DRAM tier.
+std::vector<double> fractions(const sim::MemoryTopology& topology, double fast_share) {
+  std::vector<double> out(topology.tier_count(), 0.0);
+  out[static_cast<std::size_t>(topology.fast_tier())] = fast_share;
+  out[static_cast<std::size_t>(topology.dram_tier())] = 1.0 - fast_share;
+  return out;
+}
+
+}  // namespace
+
 RunResult FineGrainedPlacer::run_plan(const trace::AccessProfile& profile, int threads,
                                       const PlacementPlan& plan) const {
   RunResult result;
@@ -37,14 +50,17 @@ RunResult FineGrainedPlacer::run_plan(const trace::AccessProfile& profile, int t
       throw std::invalid_argument("run_plan: plan names unknown phase '" + name + "'");
     }
   }
-  if (hbm_used > machine_.config().timing.hbm.capacity_bytes) {
+  const sim::MemoryTopology& topology = machine_.memory_topology();
+  const sim::MemoryTier& fast = topology.tier(static_cast<std::size_t>(topology.fast_tier()));
+  const sim::MemoryTier& dram = topology.tier(static_cast<std::size_t>(topology.dram_tier()));
+  if (hbm_used > fast.params.capacity_bytes) {
     result.feasible = false;
-    result.infeasible_reason = "plan overcommits MCDRAM";
+    result.infeasible_reason = "plan overcommits " + fast.name;
     return result;
   }
-  if (ddr_used > machine_.config().timing.ddr.capacity_bytes) {
+  if (ddr_used > dram.params.capacity_bytes) {
     result.feasible = false;
-    result.infeasible_reason = "plan overcommits DDR";
+    result.infeasible_reason = "plan overcommits " + dram.name;
     return result;
   }
 
@@ -54,7 +70,7 @@ RunResult FineGrainedPlacer::run_plan(const trace::AccessProfile& profile, int t
   for (const auto& phase : profile.phases()) {
     double fraction = 0.0;
     if (auto it = plan.find(phase.name); it != plan.end()) fraction = it->second;
-    const auto t = timing.time_phase(phase, rc, fraction);
+    const auto t = timing.time_phase(phase, rc, topology, fractions(topology, fraction));
     result.seconds += t.seconds;
     result.bytes_from_memory += t.memory_bytes;
     result.flops += phase.flops;
@@ -71,7 +87,10 @@ RunResult FineGrainedPlacer::run_plan(const trace::AccessProfile& profile, int t
 PlanOutcome FineGrainedPlacer::optimize(const trace::AccessProfile& profile,
                                         int threads) const {
   const auto& timing = machine_.timing();
+  const sim::MemoryTopology& topology = machine_.memory_topology();
   const RunConfig rc{MemConfig::DRAM, threads, 0.0};
+  const std::vector<double> all_dram = fractions(topology, 0.0);
+  const std::vector<double> all_fast = fractions(topology, 1.0);
 
   struct Candidate {
     const trace::AccessPhase* phase;
@@ -81,8 +100,8 @@ PlanOutcome FineGrainedPlacer::optimize(const trace::AccessProfile& profile,
   std::vector<Candidate> candidates;
   for (const auto& phase : profile.phases()) {
     if (phase.footprint_bytes == 0) continue;
-    const double t_ddr = timing.time_phase(phase, rc, 0.0).seconds;
-    const double t_hbm = timing.time_phase(phase, rc, 1.0).seconds;
+    const double t_ddr = timing.time_phase(phase, rc, topology, all_dram).seconds;
+    const double t_hbm = timing.time_phase(phase, rc, topology, all_fast).seconds;
     const double saved = t_ddr - t_hbm;
     if (saved <= 0.0) continue;  // latency-bound structure: keep in DDR
     candidates.push_back(
@@ -94,7 +113,8 @@ PlanOutcome FineGrainedPlacer::optimize(const trace::AccessProfile& profile,
                    });
 
   PlanOutcome outcome;
-  std::uint64_t budget = hbm_capacity();
+  std::uint64_t budget =
+      topology.tier(static_cast<std::size_t>(topology.fast_tier())).params.capacity_bytes;
   for (const Candidate& c : candidates) {
     if (budget == 0) break;
     const std::uint64_t take = std::min<std::uint64_t>(budget, c.phase->footprint_bytes);

@@ -21,8 +21,9 @@
 namespace knl {
 
 /// Phase (data structure) name -> placement. Phases absent from the map
-/// default to DDR. Values may be fractional: share of the structure's pages
-/// in MCDRAM (1.0 = fully HBM-resident).
+/// default to the DRAM tier. Values may be fractional: share of the
+/// structure's pages in the fast tier (1.0 = fully HBM-resident); the rest
+/// lives in the DRAM tier.
 using PlacementPlan = std::map<std::string, double>;
 
 struct PlanOutcome {
@@ -51,10 +52,6 @@ class FineGrainedPlacer {
                                      int threads) const;
 
  private:
-  [[nodiscard]] std::uint64_t hbm_capacity() const {
-    return machine_.config().timing.hbm.capacity_bytes;
-  }
-
   const Machine& machine_;
 };
 

@@ -48,7 +48,13 @@ void ThreadPool::enqueue(Task task) {
     const std::lock_guard<std::mutex> lock(workers_[target]->mutex);
     workers_[target]->queue.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_release);
+  {
+    // Publish under the sleep mutex: a worker between its predicate check
+    // and its wait would otherwise miss this notify and sleep on a
+    // non-empty queue while the submitter blocks on the future.
+    const std::lock_guard<std::mutex> lock(sleep_mutex_);
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   sleep_cv_.notify_one();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <future>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/thread_pool.hpp"
@@ -69,7 +70,6 @@ ReuseProfile::ReuseProfile(ReuseProfileConfig config) : config_(config) {
 
 void ReuseProfile::observe(const std::uint64_t* addrs, std::size_t n) {
   if (n == 0) return;
-  cumulative_valid_ = false;
   if (!pow2_path_) {
     observe_scalar(addrs, n);
     return;
@@ -183,27 +183,16 @@ void ReuseProfile::record_distance(std::uint64_t distance) {
   ++histogram_[static_cast<std::size_t>(distance)];
 }
 
-void ReuseProfile::ensure_cumulative() const {
-  if (cumulative_valid_) return;
-  cumulative_.resize(histogram_.size());
-  std::uint64_t running = 0;
-  for (std::size_t d = 0; d < histogram_.size(); ++d) {
-    running += histogram_[d];
-    cumulative_[d] = running;
-  }
-  cumulative_valid_ = true;
-}
-
 std::uint64_t ReuseProfile::hits_for_ways(std::uint64_t ways) const {
   if (ways == 0) return 0;
   if (ways > config_.max_depth) {
     throw std::invalid_argument(
         "ReuseProfile::hits_for_ways: ways exceeds the profiled max_depth");
   }
-  ensure_cumulative();
-  if (cumulative_.empty()) return 0;
-  const std::size_t top = std::min<std::uint64_t>(ways, cumulative_.size());
-  return cumulative_[top - 1];
+  // A pure read: summed on demand, so concurrent queries on one shared
+  // profile need no synchronization.
+  const auto top = static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(ways, histogram_.size()));
+  return std::accumulate(histogram_.begin(), histogram_.begin() + top, std::uint64_t{0});
 }
 
 std::uint64_t ReuseProfile::hits_for_capacity(std::uint64_t capacity_bytes) const {
@@ -232,7 +221,6 @@ void ReuseProfile::merge(const ReuseProfile& other) {
   for (std::size_t d = 0; d < other.histogram_.size(); ++d) {
     histogram_[d] += other.histogram_[d];
   }
-  cumulative_valid_ = false;
 }
 
 void ReuseProfile::reset() {
@@ -240,8 +228,6 @@ void ReuseProfile::reset() {
   cold_ = 0;
   beyond_ = 0;
   histogram_.clear();
-  cumulative_.clear();
-  cumulative_valid_ = false;
   for (auto& set : mtf_) set.clear();
   for (FenwickSet& set : fenwick_) {
     set.tree.assign(1, 0);

@@ -85,8 +85,9 @@ class ReuseProfile {
   }
 
   /// Exact hits of a `ways`-associative LRU cache on this geometry:
-  /// sum of histogram below `ways`. Throws std::invalid_argument when
-  /// ways > max_depth (the histogram cannot answer).
+  /// sum of histogram below `ways`. A pure read, safe to call from many
+  /// threads at once. Throws std::invalid_argument when ways > max_depth
+  /// (the histogram cannot answer).
   [[nodiscard]] std::uint64_t hits_for_ways(std::uint64_t ways) const;
   /// hits_for_ways(capacity / (line_bytes * num_sets)).
   [[nodiscard]] std::uint64_t hits_for_capacity(std::uint64_t capacity_bytes) const;
@@ -112,7 +113,6 @@ class ReuseProfile {
   void apply_mtf(std::vector<std::uint64_t>& set, std::uint64_t tag);
   void apply_fenwick(FenwickSet& set, std::uint64_t tag);
   void record_distance(std::uint64_t distance);
-  void ensure_cumulative() const;
 
   ReuseProfileConfig config_;
   bool use_mtf_ = false;
@@ -128,10 +128,6 @@ class ReuseProfile {
   std::uint64_t cold_ = 0;
   std::uint64_t beyond_ = 0;
   std::vector<std::uint64_t> histogram_;
-  /// Lazily rebuilt prefix sums of histogram_ (hits_for_ways is O(1) per
-  /// query once built; observe() invalidates).
-  mutable std::vector<std::uint64_t> cumulative_;
-  mutable bool cumulative_valid_ = false;
 
   std::vector<std::vector<std::uint64_t>> mtf_;  ///< per sampled set, MRU first
   std::vector<FenwickSet> fenwick_;              ///< per sampled set

@@ -182,100 +182,25 @@ TimingModel::NodePath TimingModel::time_on_node(const trace::AccessPhase& phase,
 }
 
 PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunConfig& run,
-                                    double hbm_fraction) const {
-  phase.validate();
-  if (!run.valid()) throw std::invalid_argument("time_phase: invalid RunConfig");
-  if (hbm_fraction < 0.0 || hbm_fraction > 1.0) {
-    throw std::invalid_argument("time_phase: hbm_fraction outside [0,1]");
-  }
-
-  PhaseTiming out;
-  const int threads = run.threads;
-  const int ht = ht_per_core(threads);
-
-  // Compute time: all phases may carry flops; the kernel overlaps compute
-  // with memory, so the phase takes the max of the two.
-  double compute_seconds = 0.0;
-  if (phase.flops > 0.0) {
-    const double gflops = params::attainable_gflops(ht) * phase.compute_efficiency;
-    compute_seconds = phase.flops / (gflops * 1e9);
-  }
-
-  const double mem_bytes = memory_traffic_bytes(phase, threads);
-  out.memory_bytes = mem_bytes;
-
-  double mem_seconds = 0.0;
-  if (mem_bytes > 0.0) {
-    if (run.config == MemConfig::CacheMode) {
-      // All pages in DDR behind the direct-mapped MCDRAM cache.
-      const double r = regularity(phase);
-      const double hit = r >= 0.5 ? mcdram_.sweep_hit_rate(phase.footprint_bytes)
-                                  : mcdram_.random_hit_rate(phase.footprint_bytes);
-      out.mcdram_hit_rate = hit;
-
-      const double hbm_cap = node_cap_gbs(phase, config_.hbm);
-      const double ddr_cap = node_cap_gbs(phase, config_.ddr);
-      const double blended_cap = mcdram_.effective_bandwidth_gbs(hit, hbm_cap, ddr_cap);
-
-      const double conc = concurrency_lines(phase, threads);
-      const double lat_hbm = effective_latency_ns(phase, config_.hbm, threads, 0.0);
-      const double lat_ddr = effective_latency_ns(phase, config_.ddr, threads, 0.0);
-      const double lat = mcdram_.effective_latency_ns(hit, lat_hbm, lat_ddr);
-      const double demand = conc * static_cast<double>(params::kLineBytes) / lat;
-
-      const double bw = std::min(blended_cap, demand);
-      out.bandwidth_bound = demand >= blended_cap;
-      out.effective_latency_ns =
-          out.bandwidth_bound ? conc * static_cast<double>(params::kLineBytes) / bw : lat;
-      out.concurrency_lines = conc;
-      mem_seconds = mem_bytes / (bw * kNsPerSecond);
-    } else {
-      const double hbm_bytes = mem_bytes * hbm_fraction;
-      const double ddr_bytes = mem_bytes - hbm_bytes;
-      const NodePath hbm_path =
-          time_on_node(phase, config_.hbm, threads, hbm_bytes, hbm_fraction);
-      const NodePath ddr_path =
-          time_on_node(phase, config_.ddr, threads, ddr_bytes, 1.0 - hbm_fraction);
-      // The two memory systems drain their shares concurrently.
-      mem_seconds = std::max(hbm_path.seconds, ddr_path.seconds);
-      const NodePath& dominant = hbm_path.seconds >= ddr_path.seconds ? hbm_path : ddr_path;
-      out.effective_latency_ns = dominant.latency_ns;
-      out.bandwidth_bound = dominant.capped;
-      out.concurrency_lines = concurrency_lines(phase, threads);
-      out.mcdram_hit_rate = 1.0;
-    }
-  }
-
-  out.seconds = std::max(mem_seconds, compute_seconds);
-  out.compute_bound = compute_seconds > mem_seconds;
-  if (out.compute_bound) out.bandwidth_bound = false;
-  if (out.seconds > 0.0 && mem_bytes > 0.0) {
-    out.achieved_bw_gbs = mem_bytes / (out.seconds * kNsPerSecond) * 1.0;
-  }
-  return out;
-}
-
-PhaseTiming TimingModel::time_phase_tiered(const trace::AccessPhase& phase,
-                                           const RunConfig& run,
-                                           const MemoryTopology& topology,
-                                           const std::vector<double>& fractions) const {
+                                    const MemoryTopology& topology,
+                                    const std::vector<double>& fractions) const {
   phase.validate();
   if (!run.valid()) {
-    throw std::invalid_argument("time_phase_tiered: invalid RunConfig");
+    throw std::invalid_argument("time_phase: invalid RunConfig");
   }
   const std::size_t n = topology.tier_count();
   if (fractions.size() != n) {
-    throw std::invalid_argument("time_phase_tiered: one fraction per tier required");
+    throw std::invalid_argument("time_phase: one fraction per tier required");
   }
   double fraction_sum = 0.0;
   for (const double f : fractions) {
     if (f < 0.0 || f > 1.0) {
-      throw std::invalid_argument("time_phase_tiered: fraction outside [0,1]");
+      throw std::invalid_argument("time_phase: fraction outside [0,1]");
     }
     fraction_sum += f;
   }
   if (std::abs(fraction_sum - 1.0) > 1e-6) {
-    throw std::invalid_argument("time_phase_tiered: fractions must sum to 1");
+    throw std::invalid_argument("time_phase: fractions must sum to 1");
   }
 
   PhaseTiming out;
@@ -298,10 +223,17 @@ PhaseTiming TimingModel::time_phase_tiered(const trace::AccessPhase& phase,
         run.config == MemConfig::CacheMode ? topology.cache_front_of(dram) : -1;
     const bool cache_mode = front != -1;
 
-    // Per-tier byte shares. Tiers behind the cache blend (the DRAM tier and
-    // its cache front) are folded into one cache-path share; the *last*
-    // remaining share is computed as a remainder so the split is exact (and
-    // bit-identical to time_phase's `mem_bytes - hbm_bytes` on two tiers).
+    // Per-tier byte shares. In cache mode the DRAM tier and its cache front
+    // fold into one blended share, which takes the remainder. In flat mode
+    // the last tier with a non-zero fraction takes it: on two tiers {f, 1-f}
+    // that is exactly `mem - mem * f`, and a trailing empty tier (the NVM of
+    // a two-node plan on knl_nvm) stays empty instead of absorbing an ulp.
+    // The remainder subtracts the earlier shares only; fl(fl(a+b)-b) != a.
+    std::size_t remainder_tier = n;
+    if (!cache_mode) {
+      while (fractions[remainder_tier - 1] <= 0.0) --remainder_tier;
+      --remainder_tier;
+    }
     struct Share {
       int tier = -1;  // -1 = the cache-mode blended path
       double bytes = 0.0;
@@ -313,29 +245,17 @@ PhaseTiming TimingModel::time_phase_tiered(const trace::AccessPhase& phase,
     for (std::size_t i = 0; i < n; ++i) {
       const int tier = static_cast<int>(i);
       if (cache_mode && (tier == dram || tier == front)) continue;
-      Share s;
-      s.tier = tier;
-      s.bytes = mem_bytes * fractions[i];
-      s.conc_share = fractions[i];
-      bytes_before += s.bytes;
-      conc_before += fractions[i];
-      shares.push_back(s);
+      const Share share =
+          i == remainder_tier
+              ? Share{tier, mem_bytes - bytes_before, 1.0 - conc_before}
+              : Share{tier, mem_bytes * fractions[i], fractions[i]};
+      bytes_before += share.bytes;
+      conc_before += share.conc_share;
+      shares.push_back(share);
     }
     if (cache_mode) {
       // Everything not placed on a direct tier drains through the cache.
       shares.push_back(Share{-1, mem_bytes - bytes_before, 1.0 - conc_before});
-    } else if (!shares.empty()) {
-      // Sum only the *earlier* shares: fl(fl(a+b)-b) != a, so subtracting the
-      // last share back out of the running total would drift by an ulp from
-      // time_phase's `mem_bytes - hbm_bytes`.
-      double earlier_bytes = 0.0;
-      double earlier_conc = 0.0;
-      for (std::size_t s = 0; s + 1 < shares.size(); ++s) {
-        earlier_bytes += shares[s].bytes;
-        earlier_conc += shares[s].conc_share;
-      }
-      shares.back().bytes = mem_bytes - earlier_bytes;
-      shares.back().conc_share = 1.0 - earlier_conc;
     }
 
     double dominant_seconds = -1.0;
@@ -348,8 +268,8 @@ PhaseTiming TimingModel::time_phase_tiered(const trace::AccessPhase& phase,
       double latency_ns = 0.0;
       bool capped = false;
       if (share.tier == -1) {
-        // The cache-mode blend, verbatim from time_phase: a direct-mapped
-        // front-tier cache over the DRAM tier.
+        // The cache-mode blend: a direct-mapped front-tier cache over the
+        // DRAM tier.
         const params::NodeParams& hbm_node =
             topology.tier(static_cast<std::size_t>(front)).params;
         const params::NodeParams& ddr_node =

@@ -60,27 +60,16 @@ class TimingModel {
   [[nodiscard]] const TlbModel& tlb() const noexcept { return tlb_; }
   [[nodiscard]] const McdramCacheModel& mcdram() const noexcept { return mcdram_; }
 
-  /// Time one phase. `hbm_fraction` is the fraction of the phase's pages
-  /// resident in MCDRAM (0 for membind=0, 1 for membind=1, intermediate for
-  /// interleave/preferred spill). Ignored in cache mode, where all pages
-  /// live in DDR behind the MCDRAM cache.
+  /// Time one phase on a declared topology. `fractions[i]` is the share of
+  /// the phase's pages resident in tier i (must sum to ~1): {0, 1} on KNL is
+  /// numactl --membind=0, {1, 0} is --membind=1. Flat configurations drain
+  /// every tier's share concurrently (seconds = max over tiers). Cache mode
+  /// routes the DRAM tier's share through the cache-front tier's blend
+  /// while the remaining tiers (e.g. an NVM spill) are timed directly.
   [[nodiscard]] PhaseTiming time_phase(const trace::AccessPhase& phase,
                                        const RunConfig& run,
-                                       double hbm_fraction) const;
-
-  /// N-tier generalization of time_phase over a declared topology.
-  /// `fractions[i]` is the share of the phase's pages resident in tier i
-  /// (must sum to ~1). Flat configurations drain every tier's share
-  /// concurrently (seconds = max over tiers, the two-node rule generalized);
-  /// cache mode routes the DRAM tier's share through the cache-front tier's
-  /// blend while the remaining tiers (e.g. an NVM spill) are timed directly.
-  /// On a two-tier topology whose params match this model's config the
-  /// result is bit-identical to time_phase — asserted by
-  /// tests/sim/tier_spill_test.cpp.
-  [[nodiscard]] PhaseTiming time_phase_tiered(const trace::AccessPhase& phase,
-                                              const RunConfig& run,
-                                              const MemoryTopology& topology,
-                                              const std::vector<double>& fractions) const;
+                                       const MemoryTopology& topology,
+                                       const std::vector<double>& fractions) const;
 
   /// Hardware threads per core implied by a total thread count.
   [[nodiscard]] int ht_per_core(int threads) const;

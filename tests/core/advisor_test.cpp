@@ -120,5 +120,22 @@ TEST(AdvisorSynthesize, BaselineInfeasibleFootprintThrowsOnAdvise) {
   EXPECT_THROW((void)Advisor(machine).advise(app), std::runtime_error);
 }
 
+TEST(AdvisorXeonMax, RationaleNamesTheFastTierAndItsCapacity) {
+  const Machine machine(MachineConfig::xeon_max());
+  const Advisor advisor(machine);
+  AppCharacteristics app;
+  app.regular_fraction = 1.0;
+
+  app.footprint_bytes = 100 * GiB;
+  const std::string big = advisor.advise(app).best.rationale;
+  EXPECT_NE(big.find("exceeds HBM2e (100 GiB > 64 GiB)"), std::string::npos) << big;
+  EXPECT_EQ(big.find("MCDRAM"), std::string::npos) << big;
+
+  // 20 GiB would overflow KNL's 16 GiB MCDRAM but fits 64 GiB of HBM2e.
+  app.footprint_bytes = 20 * GiB;
+  const std::string fits = advisor.advise(app).best.rationale;
+  EXPECT_EQ(fits.find("exceeds"), std::string::npos) << fits;
+}
+
 }  // namespace
 }  // namespace knl

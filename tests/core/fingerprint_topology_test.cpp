@@ -93,7 +93,6 @@ TEST(FingerprintTopology, ApplyTopologySyncsTheLegacyViews) {
   cfg.apply_topology(sim::MemoryTopology::xeon_max());
   EXPECT_EQ(cfg.timing.hbm.capacity_bytes, 64 * GiB);
   EXPECT_EQ(cfg.timing.ddr.capacity_bytes, 512 * GiB);
-  EXPECT_EQ(cfg.physical.hbm.capacity_bytes, 64 * GiB);
   EXPECT_EQ(cfg.timing.mcdram.capacity_bytes, 64 * GiB);  // cache-capable front
   EXPECT_NO_THROW(cfg.validate());
 

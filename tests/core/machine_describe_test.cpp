@@ -49,7 +49,6 @@ TEST(MachineDescribe, StableAcrossCalls) {
 TEST(MachineDescribe, ReflectsCustomConfig) {
   MachineConfig cfg;
   cfg.timing.ddr.capacity_bytes = 48 * GiB;
-  cfg.physical.ddr.capacity_bytes = 48 * GiB;
   Machine machine(cfg);
   EXPECT_NE(machine.describe().find("48 GiB"), std::string::npos);
 }

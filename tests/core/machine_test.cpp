@@ -142,7 +142,8 @@ TEST(Machine, InvalidRunConfigThrows) {
 
 TEST(Machine, ConfigValidationRejectsInconsistentViews) {
   MachineConfig cfg;
-  cfg.timing.hbm.capacity_bytes = 8 * GiB;  // physical view still 16 GiB
+  cfg.apply_topology(sim::MemoryTopology::knl7210());
+  cfg.timing.hbm.capacity_bytes = 8 * GiB;  // declared MCDRAM tier still 16 GiB
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
 }
 

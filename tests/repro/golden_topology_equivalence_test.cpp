@@ -28,9 +28,7 @@ TEST(GoldenTopologyEquivalence, DeclaredKnlTopologyReproducesEveryGolden) {
   MachineConfig config = MachineConfig::knl7210();
   config.apply_topology(sim::MemoryTopology::knl7210());
   const Machine machine(config);
-  // Not tiered (two tiers keep the legacy run path), but fully declared.
   ASSERT_TRUE(machine.config().has_declared_topology());
-  ASSERT_FALSE(machine.tiered());
 
   const Pipeline pipeline(machine);
   std::vector<const ExperimentSpec*> specs;

@@ -29,11 +29,19 @@ trace::AccessPhase random_phase(std::uint64_t footprint) {
   return p;
 }
 
+/// Time `phase` on the KNL testbed topology with `hbm_fraction` of its pages
+/// in MCDRAM and the rest in DDR4.
+PhaseTiming time_knl(const TimingModel& model, const trace::AccessPhase& phase,
+                     const RunConfig& run, double hbm_fraction) {
+  return model.time_phase(phase, run, MemoryTopology::knl7210(),
+                          {hbm_fraction, 1.0 - hbm_fraction});
+}
+
 double stream_bw(const TimingModel& model, MemConfig config, std::uint64_t footprint,
                  int threads) {
   const auto phase = stream_phase(footprint);
-  const auto t = model.time_phase(phase, RunConfig{config, threads},
-                                  config == MemConfig::HBM ? 1.0 : 0.0);
+  const auto t = time_knl(model, phase, RunConfig{config, threads},
+                          config == MemConfig::HBM ? 1.0 : 0.0);
   return phase.logical_bytes / (t.seconds * 1e9);
 }
 
@@ -69,8 +77,8 @@ TEST(TimingModel, RandomLatencyGapMatchesPaper) {
 TEST(TimingModel, RandomPatternIsLatencyBoundAndPrefersDram) {
   TimingModel model;
   const auto phase = random_phase(8 * GiB);
-  const auto dram = model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
-  const auto hbm = model.time_phase(phase, RunConfig{MemConfig::HBM, 64}, 1.0);
+  const auto dram = time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto hbm = time_knl(model, phase, RunConfig{MemConfig::HBM, 64}, 1.0);
   EXPECT_LT(dram.seconds, hbm.seconds);  // paper's central negative result
   EXPECT_FALSE(dram.bandwidth_bound);
 }
@@ -78,8 +86,8 @@ TEST(TimingModel, RandomPatternIsLatencyBoundAndPrefersDram) {
 TEST(TimingModel, SequentialPatternPrefersHbm) {
   TimingModel model;
   const auto phase = stream_phase(8 * GiB);
-  const auto dram = model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
-  const auto hbm = model.time_phase(phase, RunConfig{MemConfig::HBM, 64}, 1.0);
+  const auto dram = time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto hbm = time_knl(model, phase, RunConfig{MemConfig::HBM, 64}, 1.0);
   EXPECT_GT(dram.seconds / hbm.seconds, 3.0);  // ~4x bandwidth ratio
   EXPECT_TRUE(dram.bandwidth_bound);
 }
@@ -87,8 +95,8 @@ TEST(TimingModel, SequentialPatternPrefersHbm) {
 TEST(TimingModel, ThroughputNeverExceedsNodeCap) {
   TimingModel model;
   for (const int threads : {64, 128, 192, 256}) {
-    const auto t = model.time_phase(stream_phase(4 * GiB),
-                                    RunConfig{MemConfig::DRAM, threads}, 0.0);
+    const auto t =
+        time_knl(model, stream_phase(4 * GiB), RunConfig{MemConfig::DRAM, threads}, 0.0);
     EXPECT_LE(t.achieved_bw_gbs, model.config().ddr.stream_bw_gbs * 1.001);
   }
 }
@@ -111,7 +119,7 @@ TEST_P(ThreadMonotonicity, TimeNonIncreasingInThreads) {
   }
   double prev = 1e300;
   for (const int threads : {64, 128, 192, 256}) {
-    const auto t = model.time_phase(phase, RunConfig{MemConfig::DRAM, threads}, 0.0);
+    const auto t = time_knl(model, phase, RunConfig{MemConfig::DRAM, threads}, 0.0);
     EXPECT_LE(t.seconds, prev * 1.001) << "threads=" << threads;
     prev = t.seconds;
   }
@@ -189,8 +197,8 @@ TEST(TimingModel, ComputeBoundPhaseIgnoresMemoryConfig) {
   p.pattern = trace::Pattern::Compute;
   p.flops = 1e12;
   p.compute_efficiency = 1.0;
-  const auto dram = model.time_phase(p, RunConfig{MemConfig::DRAM, 64}, 0.0);
-  const auto hbm = model.time_phase(p, RunConfig{MemConfig::HBM, 64}, 1.0);
+  const auto dram = time_knl(model, p, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto hbm = time_knl(model, p, RunConfig{MemConfig::HBM, 64}, 1.0);
   EXPECT_DOUBLE_EQ(dram.seconds, hbm.seconds);
   EXPECT_TRUE(dram.compute_bound);
   EXPECT_EQ(dram.memory_bytes, 0.0);
@@ -199,9 +207,9 @@ TEST(TimingModel, ComputeBoundPhaseIgnoresMemoryConfig) {
 TEST(TimingModel, CacheModeBandwidthBetweenPurePathsWhenResident) {
   TimingModel model;
   const auto phase = stream_phase(4 * GiB);  // fits MCDRAM
-  const auto cache = model.time_phase(phase, RunConfig{MemConfig::CacheMode, 64}, 0.0);
-  const auto dram = model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
-  const auto hbm = model.time_phase(phase, RunConfig{MemConfig::HBM, 64}, 1.0);
+  const auto cache = time_knl(model, phase, RunConfig{MemConfig::CacheMode, 64}, 0.0);
+  const auto dram = time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto hbm = time_knl(model, phase, RunConfig{MemConfig::HBM, 64}, 1.0);
   EXPECT_LE(cache.seconds, dram.seconds);
   EXPECT_GE(cache.seconds, hbm.seconds * 0.999);
   EXPECT_GT(cache.mcdram_hit_rate, 0.97);
@@ -210,8 +218,8 @@ TEST(TimingModel, CacheModeBandwidthBetweenPurePathsWhenResident) {
 TEST(TimingModel, CacheModeDegradesBeyondCapacity) {
   TimingModel model;
   const auto big = stream_phase(static_cast<std::uint64_t>(30e9));
-  const auto cache = model.time_phase(big, RunConfig{MemConfig::CacheMode, 64}, 0.0);
-  const auto dram = model.time_phase(big, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto cache = time_knl(model, big, RunConfig{MemConfig::CacheMode, 64}, 0.0);
+  const auto dram = time_knl(model, big, RunConfig{MemConfig::DRAM, 64}, 0.0);
   EXPECT_GT(cache.seconds, dram.seconds);  // the paper's below-DRAM regime
   EXPECT_LT(cache.mcdram_hit_rate, 0.35);
 }
@@ -221,8 +229,8 @@ TEST(TimingModel, InterleaveSplitsConcurrencyNotDoubles) {
   // outstanding requests are the limit, not either controller).
   TimingModel model;
   const auto phase = random_phase(8 * GiB);
-  const auto pure = model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
-  const auto split = model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 0.5);
+  const auto pure = time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 0.0);
+  const auto split = time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 0.5);
   EXPECT_GT(split.seconds, pure.seconds * 0.45);
   EXPECT_LT(split.seconds, pure.seconds * 1.25);
 }
@@ -240,8 +248,8 @@ TEST(TimingModel, HtPerCoreClampsAndRounds) {
 TEST(TimingModel, InvalidInputsThrow) {
   TimingModel model;
   const auto phase = stream_phase(1 * GiB);
-  EXPECT_THROW((void)model.time_phase(phase, RunConfig{MemConfig::DRAM, 0}, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)model.time_phase(phase, RunConfig{MemConfig::DRAM, 64}, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)time_knl(model, phase, RunConfig{MemConfig::DRAM, 0}, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)time_knl(model, phase, RunConfig{MemConfig::DRAM, 64}, 1.5), std::invalid_argument);
   TimingConfig bad;
   bad.cores = 0;
   EXPECT_THROW(TimingModel{bad}, std::invalid_argument);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace knl::trace {
 namespace {
 
@@ -33,52 +36,93 @@ TEST(AccessPhase, PatternNames) {
   EXPECT_EQ(to_string(Pattern::Compute), "compute");
 }
 
-struct BadPhaseCase {
-  const char* label;
-  void (*mutate)(AccessPhase&);
+// The field a case breaks. 64 bits wide so BadPhaseCase has no padding: gtest
+// prints an unprintable parameter byte for byte into the test's name, so
+// every byte must be fixed. (A label and a mutator function would put pointer
+// bytes there, which move whenever the binary's layout does.)
+enum class Field : std::uint64_t {
+  Footprint,
+  LogicalBytes,
+  Flops,
+  Granule,
+  Sweeps,
+  WriteFraction,
+  StrideBytes,
+  Chains,
+  ComputeEfficiency,
+  L2HitOverride,
+  SmtBeta,
 };
+
+struct BadPhaseCase {
+  Field field;
+  double value;
+};
+
+void apply(const BadPhaseCase& c, AccessPhase& p) {
+  switch (c.field) {
+    case Field::Footprint: p.footprint_bytes = static_cast<std::uint64_t>(c.value); break;
+    case Field::LogicalBytes: p.logical_bytes = c.value; break;
+    case Field::Flops: p.flops = c.value; break;
+    case Field::Granule: p.granule_bytes = static_cast<std::uint64_t>(c.value); break;
+    case Field::Sweeps: p.sweeps = c.value; break;
+    case Field::WriteFraction: p.write_fraction = c.value; break;
+    case Field::StrideBytes:
+      p.pattern = Pattern::Strided;
+      p.stride_bytes = c.value;
+      break;
+    case Field::Chains:
+      p.pattern = Pattern::PointerChase;
+      p.chains_per_thread = static_cast<int>(c.value);
+      break;
+    case Field::ComputeEfficiency: p.compute_efficiency = c.value; break;
+    case Field::L2HitOverride: p.l2_hit_override = c.value; break;
+    case Field::SmtBeta: p.smt_beta = c.value; break;
+  }
+}
+
+std::string label(const BadPhaseCase& c) {
+  switch (c.field) {
+    case Field::Footprint: return "zero_footprint";
+    case Field::LogicalBytes: return "no_traffic";
+    case Field::Flops: return "negative_flops";
+    case Field::Granule: return "zero_granule";
+    case Field::Sweeps: return "sweeps_below_one";
+    case Field::WriteFraction:
+      return c.value > 1.0 ? "write_fraction_above_one" : "negative_write_fraction";
+    case Field::StrideBytes: return "strided_without_stride";
+    case Field::Chains: return "chase_without_chains";
+    case Field::ComputeEfficiency: return "compute_efficiency_zero";
+    case Field::L2HitOverride: return "l2_override_above_one";
+    case Field::SmtBeta: return "negative_smt_beta";
+  }
+  return "unknown";
+}
 
 class AccessPhaseValidation : public ::testing::TestWithParam<BadPhaseCase> {};
 
 TEST_P(AccessPhaseValidation, RejectsInvalidField) {
   AccessPhase p = valid_phase();
-  GetParam().mutate(p);
-  EXPECT_THROW((void)p.validate(), std::invalid_argument) << GetParam().label;
+  apply(GetParam(), p);
+  EXPECT_THROW((void)p.validate(), std::invalid_argument) << label(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BadFields, AccessPhaseValidation,
-    ::testing::Values(
-        BadPhaseCase{"zero footprint", [](AccessPhase& p) { p.footprint_bytes = 0; }},
-        BadPhaseCase{"no traffic", [](AccessPhase& p) { p.logical_bytes = 0.0; }},
-        BadPhaseCase{"negative flops", [](AccessPhase& p) { p.flops = -1.0; }},
-        BadPhaseCase{"zero granule", [](AccessPhase& p) { p.granule_bytes = 0; }},
-        BadPhaseCase{"sweeps below one", [](AccessPhase& p) { p.sweeps = 0.5; }},
-        BadPhaseCase{"write fraction above one",
-                     [](AccessPhase& p) { p.write_fraction = 1.5; }},
-        BadPhaseCase{"negative write fraction",
-                     [](AccessPhase& p) { p.write_fraction = -0.1; }},
-        BadPhaseCase{"strided without stride",
-                     [](AccessPhase& p) {
-                       p.pattern = Pattern::Strided;
-                       p.stride_bytes = 0.0;
-                     }},
-        BadPhaseCase{"chase without chains",
-                     [](AccessPhase& p) {
-                       p.pattern = Pattern::PointerChase;
-                       p.chains_per_thread = 0;
-                     }},
-        BadPhaseCase{"compute efficiency zero",
-                     [](AccessPhase& p) { p.compute_efficiency = 0.0; }},
-        BadPhaseCase{"l2 override above one",
-                     [](AccessPhase& p) { p.l2_hit_override = 1.5; }},
-        BadPhaseCase{"negative smt beta", [](AccessPhase& p) { p.smt_beta = -0.1; }}),
+    ::testing::Values(BadPhaseCase{Field::Footprint, 0.0},
+                      BadPhaseCase{Field::LogicalBytes, 0.0},
+                      BadPhaseCase{Field::Flops, -1.0},
+                      BadPhaseCase{Field::Granule, 0.0},
+                      BadPhaseCase{Field::Sweeps, 0.5},
+                      BadPhaseCase{Field::WriteFraction, 1.5},
+                      BadPhaseCase{Field::WriteFraction, -0.1},
+                      BadPhaseCase{Field::StrideBytes, 0.0},
+                      BadPhaseCase{Field::Chains, 0.0},
+                      BadPhaseCase{Field::ComputeEfficiency, 0.0},
+                      BadPhaseCase{Field::L2HitOverride, 1.5},
+                      BadPhaseCase{Field::SmtBeta, -0.1}),
     [](const ::testing::TestParamInfo<BadPhaseCase>& param_info) {
-      std::string name = param_info.param.label;
-      for (char& c : name) {
-        if (c == ' ') c = '_';
-      }
-      return name;
+      return label(param_info.param);
     });
 
 TEST(AccessPhase, ComputePhaseNeedsNoMemoryFields) {
