@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <future>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 
@@ -17,6 +18,20 @@ namespace {
 [[nodiscard]] bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 constexpr std::uint64_t kMtfSetThreshold = 4096;
+/// Row capacity of a fresh slab (tags per owned set).
+constexpr std::uint64_t kInitialRowCap = 4;
+/// Accesses between the one being applied and the one being prefetched:
+/// enough to hide a miss to memory behind the scans in between.
+constexpr std::size_t kPrefetchAhead = 8;
+/// Leading tags of a row worth prefetching (four cache lines): past that a
+/// row is deep enough for its own scan to cover the fetch.
+constexpr std::uint64_t kPrefetchTags = 32;
+
+/// Free a container's storage (clear() keeps the capacity).
+template <typename Container>
+void release(Container& c) {
+  Container().swap(c);
+}
 
 }  // namespace
 
@@ -36,21 +51,19 @@ ReuseProfile::ReuseProfile(ReuseProfileConfig config) : config_(config) {
   if (config_.shard_stride == 0 || config_.shard_phase >= config_.shard_stride) {
     throw std::invalid_argument("ReuseProfile: shard_phase must be < shard_stride");
   }
-  num_sampled_sets_ =
+  const std::uint64_t sampled_sets =
       (config_.num_sets + config_.sample_every - 1) / config_.sample_every;
-  if (num_sampled_sets_ > (1ull << 26)) {
+  if (sampled_sets > (1ull << 26)) {
     throw std::invalid_argument("ReuseProfile: too many sampled sets (> 2^26)");
   }
+  num_rows_ = sampled_sets > config_.shard_phase
+                  ? (sampled_sets - config_.shard_phase + config_.shard_stride - 1) /
+                        config_.shard_stride
+                  : 0;
 
   use_mtf_ = config_.strategy == ReuseStrategy::kMtf ||
              (config_.strategy == ReuseStrategy::kAuto &&
               config_.num_sets >= kMtfSetThreshold);
-  if (use_mtf_) {
-    mtf_.resize(static_cast<std::size_t>(num_sampled_sets_));
-  } else {
-    fenwick_.resize(static_cast<std::size_t>(num_sampled_sets_));
-    for (FenwickSet& set : fenwick_) set.tree.assign(1, 0);  // 1-indexed dummy
-  }
 
   line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
   // The SIMD decompose path needs every index operand to be a shift/mask:
@@ -68,17 +81,43 @@ ReuseProfile::ReuseProfile(ReuseProfileConfig config) : config_(config) {
   }
 }
 
+void ReuseProfile::allocate_working_state() {
+  const auto rows = static_cast<std::size_t>(num_rows_);
+  if (use_mtf_) {
+    row_cap_ = kInitialRowCap;
+    slab_.assign(rows * row_cap_, 0);
+    depth_.assign(rows, 0);
+  } else {
+    fenwick_.resize(rows);
+    for (FenwickSet& set : fenwick_) set.tree.assign(1, 0);  // 1-indexed dummy
+  }
+  soa_set_.resize(simd::kSoaChunk);
+  soa_tag_.resize(simd::kSoaChunk);
+}
+
+void ReuseProfile::release_working_state() {
+  release(slab_);
+  release(depth_);
+  release(spill_);
+  release(fenwick_);
+  release(soa_set_);
+  release(soa_tag_);
+  row_cap_ = 0;
+  distinct_ = 0;
+}
+
 void ReuseProfile::observe(const std::uint64_t* addrs, std::size_t n) {
+  if (sealed_) {
+    throw std::logic_error("ReuseProfile::observe: the profile is sealed");
+  }
   if (n == 0) return;
+  if (soa_set_.empty()) allocate_working_state();
   if (!pow2_path_) {
     observe_scalar(addrs, n);
     return;
   }
-  if (soa_set_.empty()) {
-    soa_set_.resize(simd::kSoaChunk);
-    soa_tag_.resize(simd::kSoaChunk);
-  }
-  const bool filtered = config_.shard_stride != 1;
+  const std::uint64_t stride = config_.shard_stride;
+  const std::uint64_t phase = config_.shard_phase;
   for (std::size_t done = 0; done < n;) {
     const std::size_t chunk = std::min(n - done, simd::kSoaChunk);
     std::size_t kept = chunk;
@@ -90,53 +129,139 @@ void ReuseProfile::observe(const std::uint64_t* addrs, std::size_t n) {
                                           set_shift_, sample_mask_, sample_shift_,
                                           soa_set_.data(), soa_tag_.data());
     }
-    for (std::size_t i = 0; i < kept; ++i) {
-      const std::uint64_t sampled_idx = soa_set_[i];
-      if (filtered && sampled_idx % config_.shard_stride != config_.shard_phase) {
-        continue;
+    if (stride != 1) {
+      // Keep this shard's accesses, compacted in stream order, with the
+      // sampled set index turned into the shard's row index.
+      std::size_t owned = 0;
+      for (std::size_t i = 0; i < kept; ++i) {
+        const std::uint64_t sampled_idx = soa_set_[i];
+        if (sampled_idx % stride != phase) continue;
+        soa_set_[owned] = sampled_idx / stride;
+        soa_tag_[owned] = soa_tag_[i];
+        ++owned;
       }
-      apply(sampled_idx, soa_tag_[i]);
+      kept = owned;
     }
+    apply_staged(kept);
     done += chunk;
   }
 }
 
 void ReuseProfile::observe_scalar(const std::uint64_t* addrs, std::size_t n) {
-  const bool filtered = config_.shard_stride != 1;
+  std::size_t staged = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t line = addrs[i] >> line_shift_;
     const std::uint64_t set_idx = line % config_.num_sets;
     if (config_.sample_every != 1 && set_idx % config_.sample_every != 0) continue;
     const std::uint64_t sampled_idx = set_idx / config_.sample_every;
-    if (filtered && sampled_idx % config_.shard_stride != config_.shard_phase) {
-      continue;
+    if (sampled_idx % config_.shard_stride != config_.shard_phase) continue;
+    soa_set_[staged] = sampled_idx / config_.shard_stride;
+    soa_tag_[staged] = line / config_.num_sets;
+    if (++staged == simd::kSoaChunk) {
+      apply_staged(staged);
+      staged = 0;
     }
-    apply(sampled_idx, line / config_.num_sets);
   }
+  apply_staged(staged);
 }
 
-void ReuseProfile::apply(std::uint64_t sampled_idx, std::uint64_t tag) {
-  ++sampled_;
-  if (use_mtf_) {
-    apply_mtf(mtf_[static_cast<std::size_t>(sampled_idx)], tag);
-  } else {
-    apply_fenwick(fenwick_[static_cast<std::size_t>(sampled_idx)], tag);
+void ReuseProfile::apply_staged(std::size_t n) {
+  const std::uint64_t* rows = soa_set_.data();
+  const std::uint64_t* tags = soa_tag_.data();
+  sampled_ += n;
+  if (!use_mtf_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      apply_fenwick(fenwick_[static_cast<std::size_t>(rows[i])], tags[i]);
+    }
+    return;
   }
+  // Random sets make each access a likely cache miss; start the fetch of a
+  // later access's row and depth while this one scans. The row is re-read
+  // from slab_ at its turn, so a growth in between only wastes the hint.
+  constexpr std::uint64_t kTagsPerLine = 64 / sizeof(std::uint64_t);
+  const std::size_t ahead = n > kPrefetchAhead ? n - kPrefetchAhead : 0;
+  for (std::size_t i = 0; i < ahead; ++i) {
+    const auto next = static_cast<std::size_t>(rows[i + kPrefetchAhead]);
+    const std::uint64_t* row = slab_.data() + next * row_cap_;
+    const std::uint64_t span = std::min(row_cap_, kPrefetchTags);
+    for (std::uint64_t k = 0; k < span; k += kTagsPerLine) __builtin_prefetch(row + k);
+    __builtin_prefetch(depth_.data() + next);
+    apply_slab(rows[i], tags[i]);
+  }
+  for (std::size_t i = ahead; i < n; ++i) apply_slab(rows[i], tags[i]);
 }
 
-void ReuseProfile::apply_mtf(std::vector<std::uint64_t>& set, std::uint64_t tag) {
-  // Recency order, front = MRU: the tag's position IS its stack distance.
-  const std::size_t depth = set.size();
-  for (std::size_t i = 0; i < depth; ++i) {
-    if (set[i] == tag) {
+void ReuseProfile::apply_slab(std::uint64_t row, std::uint64_t tag) {
+  // Carry-shift: walk the recency list MRU first, writing each slot's
+  // predecessor (the new tag into slot 0) while searching. Stopping at the
+  // tag's old slot leaves it at the front, everything before it one slot
+  // down, and its old position is the stack distance. A full walk is a
+  // cold miss with the LRU tag still in the carry.
+  const auto r = static_cast<std::size_t>(row);
+  std::uint64_t* slots = slab_.data() + r * row_cap_;
+  const std::uint64_t depth = depth_[r];
+  const std::uint64_t live = std::min(depth, row_cap_);
+  std::uint64_t carry = tag;
+  for (std::uint64_t i = 0; i < live; ++i) {
+    const std::uint64_t seen = slots[i];
+    slots[i] = carry;
+    if (seen == tag) {
       record_distance(i);
-      for (std::size_t j = i; j > 0; --j) set[j] = set[j - 1];
-      set[0] = tag;
       return;
+    }
+    carry = seen;
+  }
+  if (depth > row_cap_) {
+    std::vector<std::uint64_t>& tail = spill_.find(row)->second;
+    for (std::size_t j = 0; j < tail.size(); ++j) {
+      const std::uint64_t seen = tail[j];
+      tail[j] = carry;
+      if (seen == tag) {
+        record_distance(row_cap_ + j);
+        return;
+      }
+      carry = seen;
     }
   }
   ++cold_;
-  set.insert(set.begin(), tag);
+  append_cold(row, carry);
+}
+
+void ReuseProfile::append_cold(std::uint64_t row, std::uint64_t tag) {
+  // `tag` becomes the row's new LRU end: in the slab while the row has
+  // room, else at the end of its spill tail.
+  const auto r = static_cast<std::size_t>(row);
+  const std::uint64_t depth = depth_[r]++;
+  ++distinct_;
+  if (depth < row_cap_) {
+    slab_[r * row_cap_ + depth] = tag;
+    return;
+  }
+  spill_[row].push_back(tag);
+  // Double the rows only once they are half full on average, so a few
+  // deep sets cannot inflate every row: memory stays O(distinct tags).
+  if (2 * distinct_ >= num_rows_ * row_cap_) grow_slab();
+}
+
+void ReuseProfile::grow_slab() {
+  const std::uint64_t cap = 2 * row_cap_;
+  std::vector<std::uint64_t> slab(static_cast<std::size_t>(num_rows_ * cap), 0);
+  for (std::size_t r = 0; r < num_rows_; ++r) {
+    const std::uint64_t live = std::min(depth_[r], row_cap_);
+    std::copy_n(slab_.data() + r * row_cap_, live, slab.data() + r * cap);
+  }
+  // Spill tails move back into the widened rows, front first.
+  for (auto it = spill_.begin(); it != spill_.end();) {
+    std::vector<std::uint64_t>& tail = it->second;
+    const auto moved = static_cast<std::ptrdiff_t>(
+        std::min<std::uint64_t>(tail.size(), cap - row_cap_));
+    std::copy_n(tail.begin(), moved,
+                slab.begin() + static_cast<std::ptrdiff_t>(it->first * cap + row_cap_));
+    tail.erase(tail.begin(), tail.begin() + moved);
+    it = tail.empty() ? spill_.erase(it) : std::next(it);
+  }
+  slab_ = std::move(slab);
+  row_cap_ = cap;
 }
 
 void ReuseProfile::apply_fenwick(FenwickSet& set, std::uint64_t tag) {
@@ -223,17 +348,37 @@ void ReuseProfile::merge(const ReuseProfile& other) {
   }
 }
 
+void ReuseProfile::seal() {
+  release_working_state();
+  sealed_ = true;
+}
+
+std::size_t ReuseProfile::working_bytes() const noexcept {
+  const auto map_bytes = [](const auto& map, std::size_t entry_bytes) {
+    return map.empty() ? 0 : map.bucket_count() * sizeof(void*) + map.size() * entry_bytes;
+  };
+  std::size_t bytes = slab_.capacity() * sizeof(std::uint64_t) +
+                      depth_.capacity() * sizeof(std::uint64_t) +
+                      (soa_set_.capacity() + soa_tag_.capacity()) * sizeof(std::uint64_t) +
+                      map_bytes(spill_, sizeof(decltype(spill_)::value_type));
+  for (const auto& entry : spill_) {
+    bytes += entry.second.capacity() * sizeof(std::uint64_t);
+  }
+  bytes += fenwick_.capacity() * sizeof(FenwickSet);
+  for (const FenwickSet& set : fenwick_) {
+    bytes += set.tree.capacity() * sizeof(std::uint64_t) +
+             map_bytes(set.last, sizeof(decltype(set.last)::value_type));
+  }
+  return bytes;
+}
+
 void ReuseProfile::reset() {
   sampled_ = 0;
   cold_ = 0;
   beyond_ = 0;
   histogram_.clear();
-  for (auto& set : mtf_) set.clear();
-  for (FenwickSet& set : fenwick_) {
-    set.tree.assign(1, 0);
-    set.last.clear();
-    set.now = 0;
-  }
+  release_working_state();
+  sealed_ = false;
 }
 
 ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
@@ -251,6 +396,7 @@ ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
   if (shards <= 1 || n == 0) {
     ReuseProfile profile(config);
     profile.observe(addrs, n);
+    profile.seal();
     return profile;
   }
 
@@ -275,6 +421,7 @@ ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
   }
   ReuseProfile profile(config);
   for (const ReuseProfile& part : parts) profile.merge(part);
+  profile.seal();
   return profile;
 }
 

@@ -16,14 +16,22 @@
 // bit-for-bit for any pow2 W (property-tested in tests/sim).
 //
 // Two internal stack representations, chosen by expected per-set occupancy:
-//   - kMtf:     per-set recency-ordered tag list; distance = list position.
-//               O(distinct-per-set) per access — the sweep-grid case, where
-//               many sets keep each set's list a few dozen entries.
+//   - kMtf:     one flat slab holding a recency-ordered row of tags per
+//               owned set (MRU first; distance = position), plus a depth
+//               array. A carry-shift kernel searches and shifts the row in
+//               one pass, and the pass prefetches the row of the access a
+//               few positions ahead. The slab doubles its row capacity once
+//               it is half full on average; until then a row deeper than
+//               the capacity continues in a spill tail of its own, so
+//               working memory stays O(distinct tags) under any skew. The
+//               sweep-grid case: many sets keep each row a few dozen tags.
 //   - kFenwick: per-set append-only Fenwick tree counting latest-occurrence
 //               marks (Bennett-Kruskal); distance = marks in (last, now].
 //               O(log n) per access regardless of depth — the analyzer
 //               case (few sets, fully-associative-style deep stacks).
 // Both produce identical histograms (tested); kAuto picks by set count.
+// The working state is allocated on the first observe() and dropped by
+// seal(), after which a profile is just its answer: counters + histogram.
 #pragma once
 
 #include <cstddef>
@@ -65,6 +73,7 @@ class ReuseProfile {
 
   /// Feed a block of byte addresses (chunked through the SIMD decompose
   /// kernels for pow2 geometry). Order matters; split calls concatenate.
+  /// Throws std::logic_error on a sealed profile.
   void observe(const std::uint64_t* addrs, std::size_t n);
   void observe(std::span<const std::uint64_t> addrs) {
     observe(addrs.data(), addrs.size());
@@ -99,6 +108,16 @@ class ReuseProfile {
   /// the point.
   void merge(const ReuseProfile& other);
 
+  /// Drop the working state (recency rows, Fenwick trees, staging scratch)
+  /// and keep only the answer. Every query above still answers the same;
+  /// observe() throws until reset(). profile_trace() returns sealed profiles.
+  void seal();
+  /// Bytes of working state held now (container capacities; 0 when sealed
+  /// or before the first observe()).
+  [[nodiscard]] std::size_t working_bytes() const noexcept;
+
+  /// Zero the counters and drop the working state; the profile observes
+  /// afresh (sealed or not).
   void reset();
 
  private:
@@ -108,9 +127,14 @@ class ReuseProfile {
     std::uint64_t now = 0;
   };
 
+  void allocate_working_state();
+  void release_working_state();
   void observe_scalar(const std::uint64_t* addrs, std::size_t n);
-  void apply(std::uint64_t sampled_idx, std::uint64_t tag);
-  void apply_mtf(std::vector<std::uint64_t>& set, std::uint64_t tag);
+  /// Apply the first n staged (row, tag) pairs in soa_set_/soa_tag_.
+  void apply_staged(std::size_t n);
+  void apply_slab(std::uint64_t row, std::uint64_t tag);
+  void append_cold(std::uint64_t row, std::uint64_t tag);
+  void grow_slab();
   void apply_fenwick(FenwickSet& set, std::uint64_t tag);
   void record_distance(std::uint64_t distance);
 
@@ -122,24 +146,38 @@ class ReuseProfile {
   std::uint64_t set_mask_ = 0;
   unsigned sample_shift_ = 0;
   std::uint64_t sample_mask_ = 0;
-  std::uint64_t num_sampled_sets_ = 0;
+  /// Sets this profile owns: the sampled sets of its shard phase, row r
+  /// being sampled index r * shard_stride + shard_phase.
+  std::uint64_t num_rows_ = 0;
+  bool sealed_ = false;
 
   std::uint64_t sampled_ = 0;
   std::uint64_t cold_ = 0;
   std::uint64_t beyond_ = 0;
   std::vector<std::uint64_t> histogram_;
 
-  std::vector<std::vector<std::uint64_t>> mtf_;  ///< per sampled set, MRU first
-  std::vector<FenwickSet> fenwick_;              ///< per sampled set
-  /// SoA staging scratch (simd::kSoaChunk entries each), lazily allocated.
+  // kMtf working state. Row r's recency list is slab_[r * row_cap_ ...]
+  // (its first min(depth_[r], row_cap_) tags) followed by spill_[r] when
+  // depth_[r] > row_cap_.
+  std::vector<std::uint64_t> slab_;
+  std::vector<std::uint64_t> depth_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> spill_;
+  std::uint64_t row_cap_ = 0;
+  std::uint64_t distinct_ = 0;  ///< tags held across all rows
+
+  std::vector<FenwickSet> fenwick_;  ///< kFenwick working state, per row
+  /// SoA staging scratch (simd::kSoaChunk entries each): sampled set index,
+  /// then row index after the shard filter, and tag. Allocated with the
+  /// rest of the working state on the first observe().
   std::vector<std::uint64_t> soa_set_;
   std::vector<std::uint64_t> soa_tag_;
 };
 
 /// One profiling pass over `addrs`, sharded across `workers` pool threads by
-/// sampled-set ownership (sampled_index % shards). Distances are per-set, so
-/// the merged result is bit-identical to a serial observe() for every worker
-/// count. workers <= 1 profiles inline.
+/// sampled-set ownership (sampled_index % shards; each shard holds only its
+/// own rows). Distances are per-set, so the merged result is bit-identical
+/// to a serial observe() for every worker count. workers <= 1 profiles
+/// inline. The result is sealed: it holds the answer, no working state.
 [[nodiscard]] ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
                                          const ReuseProfileConfig& config,
                                          int workers = 1);

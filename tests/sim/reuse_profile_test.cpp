@@ -1,14 +1,15 @@
 // Property tests for the single-pass reuse-distance profile: one replay of a
 // trace must answer every capacity with exactly the hit counts the exact
 // per-capacity simulators produce (LRU inclusion / Mattson), across
-// geometries, sampling rates, strategies, chunk remainders and worker
-// counts.
+// geometries, sampling rates, strategies, chunk remainders, worker counts,
+// skewed sets and slab growth.
 #include "sim/reuse_profile.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -38,6 +39,21 @@ ReuseProfileConfig geometry(std::uint64_t num_sets, std::uint64_t sample_every,
   config.sample_every = sample_every;
   config.strategy = strategy;
   return config;
+}
+
+/// Counters and histogram equal, bucket for bucket.
+void expect_same_profile(const ReuseProfile& a, const ReuseProfile& b) {
+  EXPECT_EQ(a.sampled(), b.sampled());
+  EXPECT_EQ(a.cold_misses(), b.cold_misses());
+  EXPECT_EQ(a.beyond_depth(), b.beyond_depth());
+  EXPECT_EQ(a.histogram(), b.histogram());
+}
+
+ReuseProfile observed(const std::vector<std::uint64_t>& addrs,
+                      const ReuseProfileConfig& config) {
+  ReuseProfile profile(config);
+  profile.observe(addrs.data(), addrs.size());
+  return profile;
 }
 
 /// The core property: profile once, then for every associativity the
@@ -115,17 +131,118 @@ TEST(ReuseProfile, StrategiesAgree) {
 
 TEST(ReuseProfile, ParallelProfilingIsWorkerInvariant) {
   // Set-modular sharding: any worker count merges to the bit-identical
-  // histogram (distances never cross sets).
+  // histogram (distances never cross sets), whether or not it divides the
+  // set count, on both strategies and on the non-pow2 path.
   const auto addrs = mixed_trace(1 << 20, 13);
-  const ReuseProfileConfig config = geometry(512, 1);
-  const ReuseProfile serial = profile_trace(addrs.data(), addrs.size(), config, 1);
-  for (const int workers : {2, 3, 8, 16}) {
-    const ReuseProfile parallel =
-        profile_trace(addrs.data(), addrs.size(), config, workers);
-    EXPECT_EQ(serial.sampled(), parallel.sampled()) << workers << " workers";
-    EXPECT_EQ(serial.cold_misses(), parallel.cold_misses()) << workers << " workers";
-    EXPECT_EQ(serial.histogram(), parallel.histogram()) << workers << " workers";
+  for (const ReuseProfileConfig& config :
+       {geometry(512, 1, ReuseStrategy::kMtf), geometry(512, 1, ReuseStrategy::kFenwick),
+        geometry(600, 3, ReuseStrategy::kMtf)}) {
+    const ReuseProfile serial = observed(addrs, config);
+    for (const int workers : {1, 2, 3, 4, 5, 8, 16}) {
+      SCOPED_TRACE(testing::Message() << "sets=" << config.num_sets << " strategy="
+                                      << static_cast<int>(config.strategy) << " "
+                                      << workers << " workers");
+      expect_same_profile(serial,
+                          profile_trace(addrs.data(), addrs.size(), config, workers));
+    }
   }
+}
+
+TEST(ReuseProfile, ProfileTraceReturnsOnlyTheAnswer) {
+  // A profile a cache keeps must not keep the pass's working state: no
+  // rows, trees or scratch, and the same answers as the streaming profile.
+  const auto addrs = mixed_trace(1 << 19, 31);
+  for (const ReuseProfileConfig& config :
+       {geometry(4096, 1), geometry(64, 1), geometry(4096, 4)}) {
+    ReuseProfile streaming = observed(addrs, config);
+    EXPECT_GT(streaming.working_bytes(), 0u);
+    for (const int workers : {1, 3}) {
+      ReuseProfile result = profile_trace(addrs.data(), addrs.size(), config, workers);
+      EXPECT_EQ(result.working_bytes(), 0u);
+      expect_same_profile(streaming, result);
+      for (std::uint64_t ways = 1; ways <= streaming.histogram().size() + 1; ++ways) {
+        EXPECT_EQ(streaming.hits_for_ways(ways), result.hits_for_ways(ways));
+      }
+      EXPECT_THROW(result.observe(addrs.data(), 1), std::logic_error);
+      result.reset();
+      result.observe(addrs.data(), addrs.size());
+      expect_same_profile(streaming, result);
+    }
+    streaming.seal();
+    EXPECT_EQ(streaming.working_bytes(), 0u);
+  }
+}
+
+TEST(ReuseProfile, OneDeepSetKeepsWorkingMemoryLinearInDistinctTags) {
+  // Every address maps to one set of 2^15: that set's recency list grows
+  // far past the slab's row capacity while the other rows stay empty, so
+  // it must not widen every row to its depth.
+  constexpr std::uint64_t kSets = 1ull << 15;
+  constexpr std::uint64_t kDistinct = 3000;
+  constexpr std::uint64_t kSet = 5;
+  std::mt19937_64 rng(37);
+  std::vector<std::uint64_t> addrs;
+  const auto address = [](std::uint64_t tag) { return (tag * kSets + kSet) * 64; };
+  for (std::uint64_t t = 0; t < kDistinct; ++t) addrs.push_back(address(t));
+  for (int i = 0; i < 20000; ++i) addrs.push_back(address(rng() % kDistinct));
+  for (std::uint64_t t = 0; t < kDistinct; ++t) addrs.push_back(address(t));
+
+  const ReuseProfile mtf = observed(addrs, geometry(kSets, 1, ReuseStrategy::kMtf));
+  expect_same_profile(observed(addrs, geometry(kSets, 1, ReuseStrategy::kFenwick)), mtf);
+  EXPECT_EQ(mtf.cold_misses(), kDistinct);
+  EXPECT_GT(mtf.histogram().size(), kDistinct / 2);
+
+  // The floor is the working state of the same geometry holding one tag.
+  const ReuseProfile floor = observed({addrs.front()}, geometry(kSets, 1, ReuseStrategy::kMtf));
+  EXPECT_LE(mtf.working_bytes(),
+            floor.working_bytes() + 4 * kDistinct * sizeof(std::uint64_t));
+}
+
+TEST(ReuseProfile, SplitObserveAcrossSlabGrowth) {
+  // Streaming contract across a slab re-layout: split calls whose boundary
+  // falls right on a growth concatenate to the whole-stream profile.
+  const auto addrs = mixed_trace(1 << 20, 41);
+  const ReuseProfileConfig config = geometry(1024, 1, ReuseStrategy::kMtf);
+  const ReuseProfile whole = observed(addrs, config);
+  expect_same_profile(observed(addrs, geometry(1024, 1, ReuseStrategy::kFenwick)), whole);
+
+  // Find the growths: a slab doubling at least doubles the working bytes
+  // of the fresh profile.
+  ReuseProfile probe(config);
+  probe.observe(addrs.data(), 1);
+  std::size_t bytes = probe.working_bytes();
+  const std::size_t floor_bytes = bytes;
+  std::vector<std::size_t> growths;
+  for (std::size_t i = 1; i < addrs.size(); ++i) {
+    probe.observe(addrs.data() + i, 1);
+    if (probe.working_bytes() >= bytes + floor_bytes / 2) growths.push_back(i);
+    bytes = probe.working_bytes();
+  }
+  expect_same_profile(whole, probe);
+  ASSERT_GE(growths.size(), 2u);
+  for (const std::size_t at : growths) {
+    for (const std::size_t split : {at, at + 1}) {
+      ReuseProfile pieces(config);
+      pieces.observe(addrs.data(), split);
+      pieces.observe(addrs.data() + split, addrs.size() - split);
+      SCOPED_TRACE(testing::Message() << "split at " << split);
+      expect_same_profile(whole, pieces);
+    }
+  }
+}
+
+TEST(ReuseProfile, NonPow2SetsTakeTheSlabThroughTheScalarPath) {
+  // 5000 sets is past the kAuto threshold but not a power of two: the
+  // scalar decompose feeds the slab, sampled and unsampled.
+  const auto addrs = mixed_trace(1 << 20, 43);
+  for (const std::uint64_t sample : {1ull, 3ull}) {
+    SCOPED_TRACE(testing::Message() << "sample_every=" << sample);
+    const ReuseProfile mtf = observed(addrs, geometry(5000, sample));
+    expect_same_profile(observed(addrs, geometry(5000, sample, ReuseStrategy::kFenwick)),
+                        mtf);
+    EXPECT_GT(mtf.reuses(), 0u);
+  }
+  expect_matches_reference(addrs, geometry(5000, 3), {1, 2, 3});
 }
 
 TEST(ReuseProfile, MatchesTlbSimAsFullyAssociativeLru) {
