@@ -2,13 +2,13 @@
 //
 // A Deadline is created once at admission (service entry, CLI flag, test
 // fixture) and then *checked* — never extended — at every expensive
-// boundary it crosses: the thread-pool dequeue, each sweep cell, each
-// profiling pass. Checks are cheap (one steady_clock read, no locks), so
+// boundary it crosses: acquiring a service query slot, each sweep cell,
+// each profiling pass. Checks are cheap (one steady_clock read, no locks), so
 // sprinkling them between cells costs nanoseconds while saving seconds of
 // dead work once the client has already given up.
 //
 // Deadlines are shared by const pointer (`std::shared_ptr<const Deadline>`)
-// so a request fanning out over a ThreadPool hands every cell the same
+// so a sweep fanning out over a ThreadPool hands every cell the same
 // budget without copies or ownership puzzles. A default-constructed or
 // null deadline is unbounded: library callers that never opt in (knl-repro,
 // the golden pipeline) see bit-identical behavior.

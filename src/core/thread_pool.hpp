@@ -1,12 +1,16 @@
 // Work-stealing thread pool — the execution substrate of the parallel sweep
 // engine (report/sweep.hpp) and of any other embarrassingly-parallel grid in
-// the library.
+// the library. The query service does not use it: PlacementService runs each
+// query on the calling thread behind a slot gate, because a hand-off to a
+// worker and back cost more than a /placement query computes.
 //
 // Design: each worker owns a deque guarded by its own mutex. Submission
 // round-robins tasks across the deques; a worker pops from the front of its
 // own deque and, when that runs dry, steals from the back of a sibling's —
 // the classic Chase-Lev discipline (implemented with locks, not lock-free
-// buffers: sweep cells are milliseconds, so queue overhead is noise).
+// buffers). Queue overhead is not noise: a sweep cell evaluates in a few
+// microseconds (perfbench's `sweep.cell_us`), so a submit() and future
+// hand-off per cell is a visible share of the cell's cost.
 // Tasks are arbitrary callables; submit() returns a std::future carrying the
 // task's result or exception.
 //

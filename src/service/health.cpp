@@ -41,7 +41,9 @@ void HealthMonitor::note_queue(std::size_t inflight, std::size_t max_inflight) {
 }
 
 double HealthMonitor::p99_locked() const {
-  if (count_ < options_.min_samples) return 0.0;
+  // An empty window (min_samples = 0, or just reset by a transition) has
+  // no p99; indexing it would read sorted[(0 - 1) * 0.99].
+  if (count_ == 0 || count_ < options_.min_samples) return 0.0;
   // nth_element over a copy of the live window: ~window doubles, cheap next
   // to the request that produced the sample.
   std::vector<double> sorted(ring_.begin(),

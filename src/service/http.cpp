@@ -361,37 +361,36 @@ void HttpServer::start() {
   if (running_.exchange(true)) return;
   const int threads = options_.threads < 1 ? 1 : options_.threads;
   workers_.reserve(static_cast<std::size_t>(threads));
+  // Each loop gets its own copy of the fd: stop() must not race the loops
+  // on listen_fd_.
   for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { accept_loop(); });
+    workers_.emplace_back([this, listen_fd = listen_fd_] { accept_loop(listen_fd); });
   }
 }
 
 void HttpServer::stop() {
-  if (!running_.exchange(false)) {
-    // Never started (or already stopped): still release the socket.
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+  if (running_.exchange(false)) {
+    // Unblock every accept(): shutdown makes pending accepts fail and the
+    // loops see running_ == false and exit. The fd stays open until they
+    // have joined, so no loop can accept() on a recycled fd number.
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    for (std::thread& w : workers_) {
+      if (w.joinable()) w.join();
     }
-    return;
+    workers_.clear();
   }
-  // Unblock every accept(): shutdown makes pending accepts fail, close
-  // releases the fd. Workers see running_ == false and exit.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
-  workers_.clear();
 }
 
-void HttpServer::accept_loop() {
+void HttpServer::accept_loop(int listen_fd) {
   while (running_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listening socket closed by stop()
+      return;  // listening socket shut down by stop()
     }
     serve_connection(fd, connections_.fetch_add(1, std::memory_order_relaxed));
     ::close(fd);

@@ -5,10 +5,10 @@
 // Concurrency model: a fixed pool of acceptor threads shares the listening
 // socket; each thread accepts a connection and serves it to completion
 // (keep-alive: many requests per connection, closed after `idle_timeout_ms`
-// of silence or a `Connection: close`). Heavy queries do not execute on
-// these threads — PlacementService hands them to its own ThreadPool — so
-// the socket pool size bounds concurrent *connections*, not concurrent
-// *computations*.
+// of silence or a `Connection: close`). Queries execute on these threads,
+// but only while they hold one of PlacementService's `workers` query
+// slots — so the socket pool size bounds concurrent *connections*, the
+// slots bound concurrent *computations*.
 #pragma once
 
 #include <atomic>
@@ -55,7 +55,7 @@ class HttpServer {
 
   /// Spawn the acceptor threads. Idempotent.
   void start();
-  /// Stop accepting, close the listening socket and join every acceptor.
+  /// Stop accepting, join every acceptor, then close the listening socket.
   /// In-flight requests finish; idle keep-alive connections are dropped.
   void stop();
 
@@ -63,7 +63,7 @@ class HttpServer {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(int fd, std::uint64_t conn_id);
 
   PlacementService& service_;

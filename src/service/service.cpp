@@ -5,11 +5,11 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "core/advisor.hpp"
 #include "core/fault/error.hpp"
+#include "core/thread_pool.hpp"
 #include "service/recovery.hpp"
 #include "sim/replay_telemetry.hpp"
 #include "sim/simd.hpp"
@@ -299,7 +299,9 @@ Value topology_json(const Machine& machine) {
 
 PlacementService::PlacementService(ServiceOptions options)
     : options_(options),
-      pool_(options.workers <= 0 ? 0u : static_cast<unsigned>(options.workers)),
+      workers_(options.workers <= 0 ? core::ThreadPool::hardware_threads()
+                                    : static_cast<unsigned>(options.workers)),
+      slots_(static_cast<std::ptrdiff_t>(workers_)),
       health_(options.health) {
   machines_.emplace("knl7210", Machine(MachineConfig::knl7210()));
   machines_.emplace("knl7210_equal_latency",
@@ -446,7 +448,7 @@ ServiceResponse PlacementService::dispatch(const std::string& method,
   // Strip any query string: routing is on the path alone.
   const std::string path = target.substr(0, target.find('?'));
 
-  // The two GET endpoints bypass the pool and the shedding gate: health
+  // The two GET endpoints bypass the slot gate and load shedding: health
   // and stats must answer even when the service rejects new work.
   if (path == "/healthz") {
     if (method != "GET") {
@@ -518,7 +520,7 @@ ServiceResponse PlacementService::dispatch(const std::string& method,
   }
   // Admission deadline check: a request whose budget is already gone (the
   // client queued it behind a slow connection, or sent a stale retry) is
-  // answered 504 without costing a pool slot.
+  // answered 504 without costing a query slot.
   if (ctx.deadline != nullptr) ctx.deadline->check("admission of " + path);
 
   ctx.degraded = health_.state() == HealthState::Degraded;
@@ -555,16 +557,17 @@ ServiceResponse PlacementService::dispatch(const std::string& method,
     }
   } latency_recorder{health_, inflight_, options_.max_inflight};
 
-  // Execute on the service pool: socket threads block here while at most
-  // `workers` queries compute. The future rethrows any query error into
-  // the caller's error envelope. The dequeue check catches budgets that
-  // died waiting for a worker.
+  // Execute on the calling thread once it holds one of the `workers`
+  // slots, so at most `workers` queries compute at once. The slot check
+  // catches budgets that died waiting for a slot.
   const Value& parsed = require_object(body);
-  auto future = pool_.submit([this, query, &parsed, &ctx] {
-    if (ctx.deadline != nullptr) ctx.deadline->check("pool dequeue");
-    return (this->*query)(parsed, ctx);
-  });
-  return {200, future.get()};
+  slots_.acquire();
+  struct SlotRelease {
+    std::counting_semaphore<>& slots;
+    ~SlotRelease() { slots.release(); }
+  } slot_release{slots_};
+  if (ctx.deadline != nullptr) ctx.deadline->check("waiting for a query slot");
+  return {200, (this->*query)(parsed, ctx)};
 }
 
 Value PlacementService::do_placement(const Value& body,
@@ -907,7 +910,7 @@ Value PlacementService::do_stats() const {
   out.set("errors", static_cast<double>(c.errors));
   out.set("inflight", static_cast<double>(c.inflight));
   out.set("max_inflight", static_cast<double>(options_.max_inflight));
-  out.set("workers", static_cast<double>(pool_.size()));
+  out.set("workers", static_cast<double>(workers_));
   out.set("deadline_exceeded", static_cast<double>(c.deadline_exceeded));
   out.set("brownout_rejects", static_cast<double>(c.brownout));
   out.set("served_degraded", static_cast<double>(c.degraded));

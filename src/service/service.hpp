@@ -6,11 +6,12 @@
 // JSON body) triple and returns a (status, JSON body) pair, so the same
 // engine serves the blocking-socket HTTP front end (service/http.hpp), the
 // in-process bench harness (bench_service) and the unit tests. Queries are
-// validated against the machine and workload registries, executed on the
-// service's ThreadPool, answered from the process-wide sharded LRU
-// SweepCache (report/sweep.hpp) — identical concurrent queries coalesce
-// onto one computation — and load-shed with a 429-style reject once the
-// in-flight gauge passes the configured bound.
+// validated against the machine and workload registries, executed inline on
+// the thread that called handle() behind a gate of `workers` slots,
+// answered from the process-wide sharded LRU SweepCache (report/sweep.hpp)
+// — identical concurrent queries coalesce onto one computation — and
+// load-shed with a 429-style reject once the in-flight gauge passes the
+// configured bound.
 //
 // Endpoints and their JSON schemas are documented in docs/SERVICE.md; the
 // error-code mapping follows the knl::Error taxonomy (core/fault/error.hpp):
@@ -21,11 +22,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <semaphore>
 #include <string>
 #include <vector>
 
 #include "core/machine.hpp"
-#include "core/thread_pool.hpp"
 #include "report/sweep.hpp"
 #include "repro/json.hpp"
 #include "service/health.hpp"
@@ -35,15 +36,17 @@ namespace knl::service {
 class RequestJournal;  // service/recovery.hpp
 
 struct ServiceOptions {
-  /// Query-execution workers (the service's ThreadPool): 0 = one per
-  /// hardware thread. Connection threads hand queries to this pool, so at
-  /// most `workers` queries compute at once regardless of socket count.
+  /// Query slots: 0 = one per hardware thread. Each POST query runs on the
+  /// thread that called handle() once it holds a slot, so at most
+  /// `workers` queries compute at once regardless of socket count.
   int workers = 0;
   /// Sweep cell-evaluation workers *per query* (SweepOptions::jobs). The
-  /// default 1 keeps each sweep on its own pool worker; raise it only for
-  /// a low-concurrency deployment that wants single-query latency.
+  /// default 1 evaluates a sweep's cells on the thread holding its slot;
+  /// raise it only for a low-concurrency deployment that wants
+  /// single-query latency.
   int sweep_jobs = 1;
-  /// Load-shedding bound: queries admitted (queued or computing) at once.
+  /// Load-shedding bound: queries admitted (waiting for a slot or
+  /// computing) at once.
   /// At the bound, new work is rejected as knl::Error Resource -> HTTP 429.
   std::size_t max_inflight = 1024;
   /// Retry-After hint attached to 429 rejections, in milliseconds.
@@ -55,7 +58,8 @@ struct ServiceOptions {
   std::size_t max_sweep_cells = 512;
   /// Server-side default request budget (ms), applied when a request
   /// carries neither an X-Deadline-Ms header nor a `deadline_ms` body
-  /// field. Checked at admission, at pool-dequeue and between sweep cells;
+  /// field. Checked at admission, once a query slot is acquired and between
+  /// sweep cells;
   /// exhaustion answers 504 with partial-progress detail. 0 disables.
   double default_deadline_ms = 30000.0;
   /// Brownout state machine thresholds (service/health.hpp).
@@ -150,7 +154,9 @@ class PlacementService {
   /// The machine-profile registry: every named MachineConfig preset,
   /// instantiated once (Machine is immutable and its run() is const).
   std::map<std::string, Machine> machines_;
-  core::ThreadPool pool_;
+  /// Resolved `workers` (the /stats field) and the slot gate it sizes.
+  unsigned workers_;
+  std::counting_semaphore<> slots_;
 
   std::atomic<std::uint64_t> placement_{0};
   std::atomic<std::uint64_t> sweep_{0};

@@ -1,7 +1,7 @@
 // Request deadlines end to end: the Deadline primitive itself, its
 // propagation into the sweep engine (cells fail fast with partial
-// progress), and the service layer's admission/dequeue checks mapping to
-// 504 with the taxonomy code.
+// progress), and the service layer's admission/query-slot checks mapping
+// to 504 with the taxonomy code.
 #include <memory>
 #include <string>
 

@@ -105,6 +105,25 @@ TEST(HealthMonitorTest, TransitionsAreLoggedAndCounted) {
   EXPECT_EQ(monitor.snapshot().transitions, 1u);
 }
 
+TEST(HealthMonitorTest, EmptyWindowHasZeroP99EvenWithoutMinSamples) {
+  // min_samples 0 lets the latency signal speak on an empty window: the
+  // first note_queue() and the first evaluation after a transition's window
+  // reset must read p99 as 0, not index past the empty window.
+  HealthOptions options = fast_options();
+  options.min_samples = 0;
+  HealthMonitor monitor(options);
+  monitor.note_queue(0, 1024);
+  EXPECT_EQ(monitor.state(), HealthState::Healthy);
+  EXPECT_EQ(monitor.snapshot().p99_ms, 0.0);
+
+  monitor.note_queue(600, 1024);  // queue escalation resets the window
+  EXPECT_EQ(monitor.state(), HealthState::Degraded);
+  EXPECT_EQ(monitor.snapshot().samples, 0u);
+  EXPECT_EQ(monitor.snapshot().p99_ms, 0.0);
+  monitor.note_queue(0, 1024);
+  EXPECT_EQ(monitor.state(), HealthState::Healthy);
+}
+
 TEST(HealthMonitorTest, ForcedStatePinsUntilReleased) {
   HealthMonitor monitor(fast_options());
   monitor.force_state_for_testing(HealthState::Shedding);

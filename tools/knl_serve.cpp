@@ -38,7 +38,8 @@ void usage(std::ostream& os) {
         "options:\n"
         "  --port N            TCP port (default 0 = ephemeral; the chosen\n"
         "                      port is printed on stdout as 'listening on ...')\n"
-        "  --workers N         query-execution threads (default 0 = one per\n"
+        "  --workers N         queries computing at once; each runs on its\n"
+        "                      connection thread (default 0 = one per\n"
         "                      hardware thread)\n"
         "  --http-threads N    connection-acceptor threads (default 8)\n"
         "  --max-inflight N    admitted queries before load shedding kicks in\n"
