@@ -1,5 +1,6 @@
 #include "repro/cli.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -496,30 +497,28 @@ int cmd_bless(const CliOptions& opts, const std::vector<const ExperimentSpec*>& 
         << '\n';
     return kExitUsage;
   }
-  // Crash-safe bless: every baseline goes down atomically (temp-fsync-
-  // rename), so a bless killed mid-way leaves each golden either old or
-  // new — never torn, and the startup integrity pass stays quiet.
+  // Crash-safe bless: the baselines and the manifest go down as one atomic
+  // batch, so a bless killed mid-way leaves each golden either old or new —
+  // never torn, and the startup integrity pass stays quiet.
   const std::filesystem::path base(golden_dir);
-  std::string error;
+  std::vector<io::FileWrite> files;
   for (const ExperimentResult& result : results) {
-    const std::string text = artifact_json(result, machine).dump() + '\n';
-    if (!io::write_file_with_retry((base / artifact_filename(result.id)).string(),
-                                   text, &error)) {
-      err << "error: " << error << '\n';
-      return kExitUsage;
-    }
+    files.push_back({artifact_filename(result.id), artifact_text(result, machine)});
   }
-
-  // Manifest covers every registry experiment with a baseline on disk, so a
-  // subset bless never drops the others.
+  // Manifest covers every registry experiment with a baseline once this
+  // bless lands, so a subset bless never drops the others.
   std::vector<std::string> ids;
   for (const ExperimentSpec& spec : experiments()) {
-    if (std::filesystem::exists(base / artifact_filename(spec.id), ec)) {
+    const bool blessed_now =
+        std::any_of(results.begin(), results.end(),
+                    [&](const ExperimentResult& result) { return result.id == spec.id; });
+    if (blessed_now || std::filesystem::exists(base / artifact_filename(spec.id), ec)) {
       ids.push_back(spec.id);
     }
   }
-  if (!io::write_file_with_retry((base / "manifest.json").string(),
-                                 manifest_json(ids, machine).dump() + '\n', &error)) {
+  files.push_back({"manifest.json", manifest_json(ids, machine).dump() + '\n'});
+  std::string error;
+  if (!io::atomic_write_files(golden_dir, files, &error)) {
     err << "error: " << error << '\n';
     return kExitUsage;
   }
@@ -547,33 +546,13 @@ int cmd_matrix(const CliOptions& opts, const std::vector<const ExperimentSpec*>&
                             PipelineOptions{.jobs = opts.jobs, .memoize = true});
     const std::vector<ExperimentResult> results = pipeline.run_all(specs);
 
-    if (opts.out_dir_set) {
-      const std::filesystem::path base =
-          std::filesystem::path(opts.out_dir) / profile.name;
-      std::error_code ec;
-      std::filesystem::create_directories(base, ec);
-      if (ec) {
-        err << "error: could not create " << base.string() << ": " << ec.message()
-            << '\n';
-        return kExitUsage;
-      }
-      std::string error;
-      std::vector<std::string> ids;
-      for (const ExperimentResult& result : results) {
-        ids.push_back(result.id);
-        if (!io::write_file_with_retry(
-                (base / artifact_filename(result.id)).string(),
-                artifact_text(result, machine), &error)) {
-          err << "error: " << error << '\n';
-          return kExitUsage;
-        }
-      }
-      if (!io::write_file_with_retry((base / "manifest.json").string(),
-                                     manifest_json(ids, machine).dump() + '\n',
-                                     &error)) {
-        err << "error: " << error << '\n';
-        return kExitUsage;
-      }
+    std::string error;
+    if (opts.out_dir_set &&
+        !write_artifacts(results, machine,
+                         (std::filesystem::path(opts.out_dir) / profile.name).string(),
+                         &error)) {
+      err << "error: " << error << '\n';
+      return kExitUsage;
     }
 
     const DiffReport report = diff_against_dir(golden_dir, results, machine,

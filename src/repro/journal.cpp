@@ -6,29 +6,16 @@
 #include <sstream>
 #include <utility>
 
+#include "core/fault/atomic_io.hpp"
 #include "core/fault/error.hpp"
 #include "repro/experiment.hpp"
 #include "repro/json.hpp"
-
-#ifdef _WIN32
-#include <io.h>
-#else
-#include <unistd.h>
-#endif
 
 namespace knl::repro {
 
 namespace {
 
 constexpr const char* kJournalFile = "journal.jsonl";
-
-bool fsync_file(std::FILE* file) {
-#ifdef _WIN32
-  return _commit(_fileno(file)) == 0;
-#else
-  return ::fsync(fileno(file)) == 0;
-#endif
-}
 
 std::string header_line(const std::string& run_id, const std::string& out_dir,
                         const std::string& profile) {
@@ -212,7 +199,7 @@ bool JournalWriter::write_line(const std::string& line, std::string* error) {
   }
   const std::string text = line + "\n";
   const bool ok = std::fwrite(text.data(), 1, text.size(), file_) == text.size() &&
-                  std::fflush(file_) == 0 && fsync_file(file_);
+                  std::fflush(file_) == 0 && io::fsync_file(file_);
   if (!ok && error != nullptr) *error = "could not append to journal";
   return ok;
 }

@@ -1,10 +1,11 @@
 #include "repro/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <system_error>
 
 namespace knl::repro::json {
 
@@ -36,6 +37,37 @@ void append_escaped(std::string& out, const std::string& s) {
     }
   }
   out += '"';
+}
+
+void append_number(std::string& out, double v) {
+  char buf[32];
+  char* const last = buf + sizeof buf;
+  // Integral values print as plain integers ("350", not the shortest-%g
+  // "3.5e+02"), keeping golden artifacts readable; they round-trip exactly
+  // for magnitudes below 2^53. Non-finite values keep printf's spelling.
+  if (!std::isfinite(v) || (v == std::floor(v) && std::fabs(v) < 9007199254740992.0)) {
+    out.append(buf, std::to_chars(buf, last, v, std::chars_format::fixed, 0).ptr);
+    return;
+  }
+  // The shortest round-trip form fixes the digit count d. No %.*g precision
+  // below d can round-trip, so the first precision from d on whose %.*g text
+  // parses back to v is the one a 1..17 probe would stop at. Starting at d
+  // alone is not enough: where the rounding interval is asymmetric (powers
+  // of two and their neighbours) %.{d}g can round away from v.
+  char* const sci_end = std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+  int precision = static_cast<int>(std::count_if(
+      buf, std::find(buf, sci_end, 'e'), [](char c) { return c >= '0' && c <= '9'; }));
+  while (true) {
+    char* const text_end =
+        std::to_chars(buf, last, v, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    std::from_chars(buf, text_end, back);
+    if (back == v || precision >= 17) {
+      out.append(buf, text_end);
+      return;
+    }
+    ++precision;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -172,43 +204,91 @@ struct Parser {
         out = Value(std::move(members));
         return true;
       }
-      default: {
-        char* num_end = nullptr;
-        const double v = std::strtod(cur, &num_end);
-        if (num_end == cur || num_end > end || !std::isfinite(v)) {
-          return fail("expected value");
-        }
-        cur = num_end;
-        out = Value(v);
-        return true;
-      }
+      default: return parse_number(out);
     }
+  }
+
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  const char* skip_digits(const char* p) const {
+    while (p < end && is_digit(*p)) ++p;
+    return p;
+  }
+
+  // RFC 8259 number: -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?, converted by
+  // from_chars (correctly rounded like strtod, but locale-independent).
+  bool parse_number(Value& out) {
+    const char* p = cur;
+    const bool negative = p < end && *p == '-';
+    if (negative) ++p;
+    if (p >= end || !is_digit(*p)) return fail("expected value");
+    const char* int_end = *p == '0' ? p + 1 : skip_digits(p);
+    const char* mantissa_end = int_end;
+    if (mantissa_end < end && *mantissa_end == '.') {
+      if (mantissa_end + 1 >= end || !is_digit(mantissa_end[1])) {
+        return fail("expected digit after '.'");
+      }
+      mantissa_end = skip_digits(mantissa_end + 1);
+    }
+    const char* token_end = mantissa_end;
+    const char* exp_digits = nullptr;
+    bool exp_negative = false;
+    if (token_end < end && (*token_end == 'e' || *token_end == 'E')) {
+      exp_digits = token_end + 1;
+      if (exp_digits < end && (*exp_digits == '+' || *exp_digits == '-')) {
+        exp_negative = *exp_digits++ == '-';
+      }
+      if (exp_digits >= end || !is_digit(*exp_digits)) return fail("expected exponent digit");
+      token_end = skip_digits(exp_digits);
+    }
+
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(cur, token_end, v);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars leaves `v` alone past the double range. strtod gave inf
+      // there (rejected) or a zero (kept): the decimal exponent of the
+      // leading significant digit says which.
+      long long exponent = 0;
+      for (const char* d = exp_digits; d != nullptr && d < token_end; ++d) {
+        if (exponent < 1'000'000'000'000) exponent = exponent * 10 + (*d - '0');
+      }
+      if (exp_negative) exponent = -exponent;
+      const char* lead =
+          std::find_if(p, mantissa_end, [](char c) { return c >= '1' && c <= '9'; });
+      exponent += lead < int_end ? int_end - lead - 1 : int_end - lead;
+      if (exponent > 0) return fail("number out of range");
+      v = negative ? -0.0 : 0.0;
+    } else if (ec != std::errc() || ptr != token_end) {
+      return fail("expected value");
+    }
+    cur = token_end;
+    out = Value(v);
+    return true;
   }
 };
 
 void dump_value(const Value& v, std::string& out, int indent, int depth);
 
+template <typename Item>
 void dump_container(const char open, const char close, std::size_t count,
-                    std::string& out, int indent, int depth,
-                    const std::function<void(std::size_t)>& item) {
+                    std::string& out, int indent, int depth, Item&& item) {
   out += open;
   if (count == 0) {
     out += close;
     return;
   }
-  const std::string pad(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth + 1), ' ');
-  const std::string pad_close(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
+  const auto pad = static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth);
   for (std::size_t i = 0; i < count; ++i) {
     if (indent > 0) {
       out += '\n';
-      out += pad;
+      out.append(pad + static_cast<std::size_t>(indent), ' ');
     }
     item(i);
     if (i + 1 < count) out += indent > 0 ? "," : ", ";
   }
   if (indent > 0) {
     out += '\n';
-    out += pad_close;
+    out.append(pad, ' ');
   }
   out += close;
 }
@@ -219,7 +299,7 @@ void dump_value(const Value& v, std::string& out, int indent, int depth) {
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_number()) {
-    out += format_number(v.as_number());
+    append_number(out, v.as_number());
   } else if (v.is_string()) {
     append_escaped(out, v.as_string());
   } else if (v.is_array()) {
@@ -316,19 +396,9 @@ std::optional<Value> Value::parse(const std::string& text, std::string* error) {
 }
 
 std::string format_number(double v) {
-  char buf[40];
-  // Integral values print as plain integers ("350", not the shortest-%g
-  // "3.5e+02"), keeping golden artifacts readable; %.0f round-trips exactly
-  // for magnitudes below 2^53.
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 }  // namespace knl::repro::json

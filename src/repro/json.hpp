@@ -6,6 +6,8 @@
 // objects as ordered member lists (artifact files diff cleanly in git),
 // and numbers serialized as the *shortest* decimal form that round-trips
 // the exact double — goldens stay human-readable and bless->diff is exact.
+// Numbers are printed with std::to_chars and parsed with std::from_chars,
+// so neither direction depends on the C locale.
 #pragma once
 
 #include <optional>
@@ -66,6 +68,8 @@ class Value {
 
   /// Strict-enough parser for artifact files; nullopt (with the failure
   /// position in `*error` when given) on malformed input or trailing junk.
+  /// Numbers must follow the RFC 8259 grammar; one past the double range
+  /// is rejected, one below it parses as (signed) zero, as strtod gives.
   [[nodiscard]] static std::optional<Value> parse(const std::string& text,
                                                   std::string* error = nullptr);
 
@@ -75,7 +79,9 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
-/// Shortest decimal form of `v` that strtod's back to exactly `v`.
+/// Decimal form of `v` as the artifacts spell it: "%.0f" for integral
+/// values below 2^53, else the lowest "%.*g" precision whose text parses
+/// back to exactly `v` (found from std::to_chars' shortest digit count).
 [[nodiscard]] std::string format_number(double v);
 
 }  // namespace knl::repro::json

@@ -345,19 +345,6 @@ json::Value manifest_json(const std::vector<std::string>& ids, const Machine& ma
   return manifest;
 }
 
-namespace {
-
-// Artifacts are the resume journal's ground truth, so they go to disk
-// atomically (write-temp-fsync-rename): a crash mid-write leaves either the
-// previous artifact or none — never a torn file. The byte format is
-// unchanged: dump() plus a trailing newline.
-bool write_text_file(const std::filesystem::path& path, const std::string& text,
-                     std::string* error) {
-  return io::write_file_with_retry(path.string(), text + '\n', error);
-}
-
-}  // namespace
-
 bool write_artifacts(const std::vector<ExperimentResult>& results,
                      const Machine& machine, const std::string& dir,
                      std::string* error) {
@@ -367,15 +354,16 @@ bool write_artifacts(const std::vector<ExperimentResult>& results,
     if (error != nullptr) *error = "could not create " + dir + ": " + ec.message();
     return false;
   }
-  const std::filesystem::path base(dir);
+  // Artifacts are the resume journal's ground truth, so the whole set goes
+  // to disk as one atomic batch: after a crash each file is old or new,
+  // never torn. The byte format is dump() plus a trailing newline.
+  std::vector<io::FileWrite> files;
+  files.reserve(results.size() + 1);
   for (const ExperimentResult& result : results) {
-    const json::Value artifact = artifact_json(result, machine);
-    if (!write_text_file(base / artifact_filename(result.id), artifact.dump(), error)) {
-      return false;
-    }
+    files.push_back({artifact_filename(result.id), artifact_json(result, machine).dump() + '\n'});
   }
-  return write_text_file(base / "manifest.json",
-                         manifest_json(results, machine).dump(), error);
+  files.push_back({"manifest.json", manifest_json(results, machine).dump() + '\n'});
+  return io::atomic_write_files(dir, files, error);
 }
 
 std::optional<json::Value> load_json_file(const std::string& path, std::string* error) {

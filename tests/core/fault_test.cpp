@@ -374,6 +374,77 @@ TEST_F(AtomicIoTest, InjectedWriteFaultThrowsThenSucceedsOnRetry) {
   EXPECT_EQ(io::read_text_file(path, &error).value_or(""), "x\n");
 }
 
+class AtomicBatchTest : public AtomicIoTest {
+ protected:
+  /// Old contents for a.json and d.json; b.json and e.json do not exist yet.
+  void SetUp() override {
+    AtomicIoTest::SetUp();
+    std::string error;
+    ASSERT_TRUE(io::atomic_write_file(path("a.json"), "old a\n", &error)) << error;
+    ASSERT_TRUE(io::atomic_write_file(path("d.json"), "old d\n", &error)) << error;
+  }
+
+  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+
+  static std::vector<io::FileWrite> batch(const std::string& third) {
+    return {{"a.json", "new a\n"}, {"b.json", "new b\n"}, {third, "new d\n"},
+            {"e.json", "new e\n"}};
+  }
+
+  void expect_untouched_and_no_temp() const {
+    std::string error;
+    EXPECT_EQ(io::read_text_file(path("a.json"), &error).value_or(""), "old a\n");
+    EXPECT_EQ(io::read_text_file(path("d.json"), &error).value_or(""), "old d\n");
+    EXPECT_FALSE(fs::exists(path("b.json")));
+    EXPECT_FALSE(fs::exists(path("e.json")));
+    expect_no_temp();
+  }
+
+  void expect_no_temp() const {
+    for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir_)) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+  }
+};
+
+TEST_F(AtomicBatchTest, BatchReplacesEveryDestinationAndLeavesNoTempFile) {
+  std::string error;
+  ASSERT_TRUE(io::atomic_write_files(dir_.string(), batch("d.json"), &error)) << error;
+  for (const char* name : {"a", "b", "d", "e"}) {
+    EXPECT_EQ(io::read_text_file(path(std::string(name) + ".json"), &error).value_or(""),
+              std::string("new ") + name + "\n");
+  }
+  expect_no_temp();
+}
+
+TEST_F(AtomicBatchTest, NonTransientFaultOnOneFileChangesNoDestination) {
+  // Target the third file's key exactly; the first two temps already exist
+  // when the fault fires, and must be cleaned up with it.
+  const std::string key = std::to_string(site_key("d.json"));
+  ASSERT_LT(site_key("d.json"), std::uint64_t{1} << 63) << "key must fit the plan grammar";
+  const ScopedFaultPlan scope(
+      FaultPlan::parse("seed=1;site=json-write,key=" + key + ",kind=internal"));
+  std::string error;
+  EXPECT_THROW((void)io::atomic_write_files(dir_.string(), batch("d.json"), &error), Error);
+  expect_untouched_and_no_temp();
+}
+
+TEST_F(AtomicBatchTest, WriteFailureOnOneFileChangesNoDestination) {
+  std::string error;
+  EXPECT_FALSE(io::atomic_write_files(dir_.string(), batch("no/such/dir/d.json"), &error));
+  EXPECT_NE(error.find("no/such/dir"), std::string::npos) << error;
+  expect_untouched_and_no_temp();
+}
+
+TEST_F(AtomicBatchTest, TransientFaultsAreRetriedPerFile) {
+  const ScopedFaultPlan scope(
+      FaultPlan::parse("seed=1;site=json-write,rate=1,kind=transient,attempts=1"));
+  std::string error;
+  ASSERT_TRUE(io::atomic_write_files(dir_.string(), batch("d.json"), &error)) << error;
+  EXPECT_EQ(io::read_text_file(path("e.json"), &error).value_or(""), "new e\n");
+  expect_no_temp();
+}
+
 TEST(Fnv1a, HexDigestIsStableAndFixedWidth) {
   // The empty-string digest is the library's offset basis. Pinning it guards
   // the hash from silently changing: journaled artifact shas depend on it.

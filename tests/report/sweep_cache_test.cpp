@@ -121,7 +121,9 @@ TEST_F(SweepCacheTest, CoalescedHerdComputesExactlyOnce) {
   std::atomic<std::size_t> ready{0};
   std::vector<std::thread> threads;
   std::vector<RunResult> results(kThreads);
-  std::vector<bool> hits(kThreads, false);
+  // One byte per thread: std::vector<bool> packs the flags into shared
+  // words, so concurrent writes to neighbouring flags race and lose updates.
+  std::vector<char> hits(kThreads, 0);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       ready.fetch_add(1);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -98,6 +100,42 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(Value::parse("1 2").has_value());  // trailing junk
   EXPECT_FALSE(Value::parse("nan").has_value());
   EXPECT_FALSE(Value::parse("").has_value());
+}
+
+TEST(Json, NumberParserRejectsNonJsonForms) {
+  // strtod accepted all of these; RFC 8259 numbers do not.
+  const char* const rejected[] = {
+      "0x10", "+5", ".5", "5.", "01", "-01", "[1,0x1p4]", "-", "1e", "1e+",
+      "1.e5", "- 1", "inf", "-inf", "infinity", "1e400", "-1e400", "0.001e400",
+      "1.7976931348623159e308",  // rounds past DBL_MAX to inf
+  };
+  for (const char* text : rejected) {
+    std::string error;
+    EXPECT_FALSE(Value::parse(text, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(Json, NumberParserKeepsStrtodValueForJsonForms) {
+  const char* const kept[] = {
+      "0", "-0", "7", "-12.5e2", "1E5", "1e+5", "1e-5", "0.000125",
+      "123456789012345678901234567890", "1.7976931348623157e308",
+      "4.9e-324",                  // min subnormal
+      "2.4703282292062328e-324",   // just above half of it: rounds up
+      "2.4703282292062327e-324",   // just below: underflows to zero
+      "1e-400", "-1e-400",         // underflow keeps strtod's signed zero
+      "0.000000000000000000000000000000000000000000000000001e-300",
+      "100000000000000000000000000000000000000000000000000e-400",
+      "0.001e311",
+  };
+  for (const char* text : kept) {
+    const auto parsed = Value::parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    const double expected = std::strtod(text, nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->as_number()),
+              std::bit_cast<std::uint64_t>(expected))
+        << text;
+  }
 }
 
 TEST(Json, AccessorsFallBackOnTypeMismatch) {
