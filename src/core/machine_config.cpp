@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "sim/physical_memory.hpp"
-
 namespace knl {
 
 namespace {
@@ -167,9 +165,11 @@ std::uint64_t MachineConfig::fingerprint() const {
     mix_node(h, ddr);
     mix_node(h, hbm);
   }
-  const sim::PhysicalMemoryConfig page_view_defaults{};
-  mix(h, page_view_defaults.fragmentation);
-  mix(h, page_view_defaults.seed);
+  // The page view's fragmentation probability and allocator seed.
+  constexpr double kPageViewFragmentation = 0.05;
+  constexpr std::uint64_t kPageViewSeed = 0x9E3779B97F4A7C15ull;
+  mix(h, kPageViewFragmentation);
+  mix(h, kPageViewSeed);
   // Topology: mixed only when it deviates from the canonical two-tier
   // derivation. A declaration equal to the derivation leaves the resolved
   // topology unchanged, so skipping it keeps the mapping injective *and*

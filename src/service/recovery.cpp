@@ -89,6 +89,7 @@ bool RequestJournal::open(const std::string& path, bool truncate) {
     file_ = nullptr;
   }
   file_ = std::fopen(path.c_str(), truncate ? "w" : "a");
+  first_error_.clear();
   return file_ != nullptr;
 }
 
@@ -118,11 +119,7 @@ std::uint64_t RequestJournal::begin(const std::string& method,
   record.set("target", target);
   record.set("digest", io::fnv1a_hex(body));
   record.set("body", body);
-  const std::string line = record.dump(0) + "\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-  ::fsync(::fileno(file_));
-  return seq;
+  return append(record.dump(0) + "\n") ? seq : 0;
 }
 
 void RequestJournal::end(std::uint64_t seq) {
@@ -132,10 +129,30 @@ void RequestJournal::end(std::uint64_t seq) {
   Value record = Value::object();
   record.set("seq", static_cast<double>(seq));
   record.set("op", "end");
-  const std::string line = record.dump(0) + "\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
-  ::fsync(::fileno(file_));
+  (void)append(record.dump(0) + "\n");
+}
+
+bool RequestJournal::append(const std::string& line) {
+  const char* failed = nullptr;
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
+    failed = "write";
+  } else if (std::fflush(file_) != 0) {
+    failed = "flush";
+  } else if (::fsync(::fileno(file_)) != 0) {
+    failed = "fsync";
+  }
+  if (failed == nullptr) return true;
+  const int error = errno;
+  if (first_error_.empty()) {
+    first_error_ = std::string("journal ") + failed + " failed: " + std::strerror(error);
+  }
+  std::clearerr(file_);
+  return false;
+}
+
+std::string RequestJournal::first_error() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return first_error_;
 }
 
 std::vector<PendingRequest> RequestJournal::pending(const std::string& path) {

@@ -84,13 +84,18 @@ class RequestJournal {
   void close();
   [[nodiscard]] bool is_open() const;
 
-  /// Record an admitted request; returns its sequence number (0 when the
-  /// journal is closed — end(0) is a no-op, so callers need no guard).
+  /// Record an admitted request; returns its sequence number, or 0 when the
+  /// journal is closed or the record could not be written, flushed and
+  /// fsynced (end(0) is a no-op, so callers need no guard).
   std::uint64_t begin(const std::string& method, const std::string& target,
                       const std::string& body);
   /// Record completion (success or error — either way the request is no
   /// longer in flight).
   void end(std::uint64_t seq);
+
+  /// The first write failure since open(), or empty if every record so far
+  /// reached the disk.
+  [[nodiscard]] std::string first_error() const;
 
   /// Parse `path` and return every begin without a matching end, in
   /// sequence order. Records with a wrong body digest (torn writes) and
@@ -98,9 +103,14 @@ class RequestJournal {
   [[nodiscard]] static std::vector<PendingRequest> pending(const std::string& path);
 
  private:
+  /// Write, flush and fsync one record; false (noting first_error_) on
+  /// failure. Requires mutex_.
+  bool append(const std::string& line);
+
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
   std::uint64_t next_seq_ = 1;
+  std::string first_error_;
 };
 
 /// Background thread writing a cache snapshot every `interval_ms`.

@@ -3,7 +3,7 @@
 // Every constant here is anchored either to a number the paper states
 // directly (§II, §III-A, §IV-A) or to a value back-derived from the paper's
 // measured curves.  The calibration anchors are asserted by
-// tests/sim/timing_calibration_test.cpp so any drift is caught by ctest.
+// tests/sim/timing_model_test.cpp so any drift is caught by ctest.
 //
 // Anchors from the paper:
 //   - DDR:    96 GB, ~90 GB/s peak, STREAM triad measures 77 GB/s,
@@ -29,7 +29,6 @@ namespace knl::params {
 // ---------------------------------------------------------------------------
 inline constexpr int kCores = 64;
 inline constexpr int kSmtPerCore = 4;
-inline constexpr int kMaxThreads = kCores * kSmtPerCore;
 inline constexpr int kCoresPerTile = 2;
 inline constexpr int kTiles = kCores / kCoresPerTile;  // 32 active tiles
 inline constexpr double kClockGHz = 1.3;
@@ -42,15 +41,11 @@ inline constexpr std::uint64_t kL1Bytes = 32 * KiB;  // per core, 8-way
 inline constexpr int kL1Ways = 8;
 inline constexpr std::uint64_t kL2Bytes = 1 * MiB;  // per tile, 16-way
 inline constexpr int kL2Ways = 16;
-inline constexpr std::uint64_t kL2AggregateBytes = kTiles * kL2Bytes;  // 32 MiB
 
 // Latency tiers measured by the dual-random-read probe (paper Fig. 3):
 // ~10 ns within the local L2, ~200 ns loaded latency out to memory.
 inline constexpr double kL1LatencyNs = 2.3;    // ~3 cycles @1.3GHz
 inline constexpr double kL2LatencyNs = 10.0;   // paper Fig. 3 tier 1
-// Extra cost of a directory lookup + mesh traversal + remote L2 forward for
-// lines resident in another tile's L2 (MESIF cache-to-cache forwarding).
-inline constexpr double kMeshForwardLatencyNs = 42.0;
 
 // ---------------------------------------------------------------------------
 // Memory nodes (idle = unloaded round-trip latency; the Fig. 3 probe measures
@@ -105,9 +100,6 @@ inline constexpr double kRandMlpPerThread = 2.0;
 /// OoO resources per core), calibrated to the Fig. 6c/6d thread sweeps.
 inline constexpr std::array<double, 4> kRandSmtScale{1.00, 0.90, 0.80, 0.70};
 
-// Dependent pointer-chase: exactly `chains` outstanding requests per thread.
-inline constexpr double kChaseMlpPerChain = 1.0;
-
 // ---------------------------------------------------------------------------
 // TLB / paging model.  Drives the latency rise beyond 128 MB in Fig. 3.
 // The testbed runs with 2 MiB huge pages (Cray default for HPC jobs);
@@ -117,7 +109,6 @@ inline constexpr std::uint64_t kPageBytes = 2 * MiB;
 /// 64 L2-TLB entries for 2 MiB pages -> 128 MiB coverage: the paper's Fig. 3
 /// latency rise "starting from 128 MB".
 inline constexpr int kTlbEntries = 64;
-inline constexpr std::uint64_t kTlbCoverageBytes = kTlbEntries * kPageBytes;
 /// Cost of a page walk whose entries hit in the L2 cache.
 inline constexpr double kPageWalkCachedNs = 25.0;
 /// Cost of a page walk that must fetch entries from memory (large
@@ -148,12 +139,12 @@ inline constexpr double kSweepSharpness = 4.63;
 // but with 1 thread/core the back-to-back FMA latency cannot be hidden, so
 // attainable peak grows with SMT (paper Fig. 6a: 1.7x from 64->192 threads).
 // ---------------------------------------------------------------------------
-inline constexpr double kPeakFlopsPerCycle = 32.0;  // 2 FMA * 8 DP * 2
 inline constexpr std::array<double, 4> kComputeSmtScale{0.50, 0.78, 0.88, 0.92};
 
 /// Attainable DP GFLOPS for `ht` hardware threads/core (all 64 cores busy).
 [[nodiscard]] constexpr double attainable_gflops(int ht) {
-  const double peak = kCores * kClockGHz * kPeakFlopsPerCycle;
+  // 32 DP flops per cycle: 2 FMA units * 8 DP lanes * 2.
+  const double peak = kCores * kClockGHz * 32.0;
   return peak * kComputeSmtScale[static_cast<std::size_t>(ht - 1)];
 }
 

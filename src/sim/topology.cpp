@@ -1,8 +1,9 @@
 #include "sim/topology.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/fault/error.hpp"
@@ -33,17 +34,22 @@ void mix_string(std::uint64_t& h, const std::string& s) {
   mix_bytes(h, s.data(), n);
 }
 
-/// Exact round-trip double formatting ("%.17g" survives strtod). Prefers the
-/// shortest *plain* spelling (154, 130.4) over scientific notation so the
-/// machine files stay human-readable.
+/// Exact round-trip double formatting. Prefers the shortest *plain*
+/// spelling (154, 130.4) over scientific notation so the machine files stay
+/// human-readable. `to_chars(general, p)` is `%.*g` in the C locale, so the
+/// output never depends on LC_NUMERIC.
 std::string format_double(double v) {
   std::string exponent_form;
   for (int precision = 1; precision <= 17; ++precision) {
     char candidate[64];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, v);
-    if (std::strtod(candidate, nullptr) != v) continue;
-    if (std::string(candidate).find('e') == std::string::npos) return candidate;
-    if (exponent_form.empty()) exponent_form = candidate;
+    const auto printed = std::to_chars(candidate, candidate + sizeof(candidate), v,
+                                       std::chars_format::general, precision);
+    double back = 0.0;
+    std::from_chars(candidate, printed.ptr, back);
+    if (back != v) continue;
+    const std::string text(candidate, printed.ptr);
+    if (text.find('e') == std::string::npos) return text;
+    if (exponent_form.empty()) exponent_form = text;
   }
   return exponent_form;
 }
@@ -60,36 +66,58 @@ std::string trim(const std::string& s) {
       "topology/parse", "machine file line " + std::to_string(line) + ": " + what);
 }
 
+/// A finite decimal spelling and nothing else: no hex, inf, nan or trailing
+/// characters, and no dependence on the C locale.
 double parse_double(const std::string& value, int line) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    parse_fail(line, "expected a number, got '" + value + "'");
+  double parsed = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(parsed)) {
+    parse_fail(line, "expected a finite decimal number, got '" + value + "'");
   }
   return parsed;
 }
 
-/// Byte counts accept raw integers or KiB/MiB/GiB/TiB suffixes.
-std::uint64_t parse_bytes(const std::string& value, int line) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || parsed < 0.0) {
-    parse_fail(line, "expected a byte count, got '" + value + "'");
+/// An exact integer: every character is part of the number.
+template <typename Int>
+Int parse_integer(const std::string& value, int line, const std::string& what) {
+  Int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    parse_fail(line, "expected an integer " + what + ", got '" + value + "'");
   }
-  const std::string suffix = trim(std::string(end));
-  double scale = 1.0;
+  return parsed;
+}
+
+/// Byte counts are raw integers (kept exact) or decimals, with an optional
+/// KiB/MiB/GiB/TiB suffix; either way a whole number of bytes below 2^64.
+std::uint64_t parse_bytes(const std::string& value, int line) {
+  const std::size_t split = value.find_first_not_of("0123456789.eE+-");
+  const std::string number = value.substr(0, split);
+  const std::string suffix = split == std::string::npos ? "" : trim(value.substr(split));
+  std::uint64_t scale = 1;
   if (suffix == "KiB") {
-    scale = static_cast<double>(KiB);
+    scale = KiB;
   } else if (suffix == "MiB") {
-    scale = static_cast<double>(MiB);
+    scale = MiB;
   } else if (suffix == "GiB") {
-    scale = static_cast<double>(GiB);
+    scale = GiB;
   } else if (suffix == "TiB") {
-    scale = static_cast<double>(GiB) * 1024.0;
+    scale = GiB * 1024;
   } else if (!suffix.empty()) {
     parse_fail(line, "unknown byte suffix '" + suffix + "' (KiB/MiB/GiB/TiB)");
   }
-  return static_cast<std::uint64_t>(parsed * scale);
+  if (number.find_first_not_of("0123456789") == std::string::npos) {
+    const auto count = parse_integer<std::uint64_t>(number, line, "byte count");
+    if (count <= std::numeric_limits<std::uint64_t>::max() / scale) return count * scale;
+  } else {
+    const double bytes = parse_double(number, line) * static_cast<double>(scale);
+    if (bytes >= 0.0 && bytes < 0x1p64 && bytes == std::floor(bytes)) {
+      return static_cast<std::uint64_t>(bytes);
+    }
+  }
+  parse_fail(line, "byte count '" + value + "' is not a whole number of bytes below 2^64");
 }
 
 }  // namespace
@@ -143,11 +171,12 @@ void MemoryTopology::validate() const {
       throw Error::corrupt_input("topology/zero-capacity",
                                  where + ": tier capacity must be positive");
     }
-    if (t.params.peak_bw_gbs <= 0.0 || t.params.stream_bw_gbs <= 0.0 ||
-        t.params.random_bw_gbs <= 0.0 || t.params.idle_latency_ns <= 0.0) {
+    const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+    if (!positive(t.params.peak_bw_gbs) || !positive(t.params.stream_bw_gbs) ||
+        !positive(t.params.random_bw_gbs) || !positive(t.params.idle_latency_ns)) {
       throw Error::corrupt_input(
           "topology/bad-envelope",
-          where + ": bandwidths and latency must be positive");
+          where + ": bandwidths and latency must be finite and positive");
     }
     if (t.controllers_end <= t.controllers_begin || t.controllers_begin < 0) {
       throw Error::corrupt_input(
@@ -327,7 +356,8 @@ MemoryTopology MemoryTopology::parse_machine_file(const std::string& text) {
       if (inner.rfind("tier ", 0) != 0) {
         parse_fail(line_number, "unknown section '" + inner + "' (expected 'tier N')");
       }
-      const int index = std::atoi(inner.c_str() + 5);
+      const int index = parse_integer<int>(trim(inner.substr(5)), line_number,
+                                           "tier index");
       if (index != current_tier + 1) {
         parse_fail(line_number, "tier sections must appear in order; expected [tier " +
                                     std::to_string(current_tier + 1) + "]");
@@ -349,7 +379,7 @@ MemoryTopology MemoryTopology::parse_machine_file(const std::string& text) {
       if (key == "machine") {
         topology.name = value;
       } else if (key == "tiers") {
-        declared_tiers = static_cast<std::size_t>(parse_double(value, line_number));
+        declared_tiers = parse_integer<std::size_t>(value, line_number, "tier count");
       } else {
         throw Error::corrupt_input(
             "topology/unknown-field",
@@ -380,8 +410,10 @@ MemoryTopology MemoryTopology::parse_machine_file(const std::string& text) {
       if (dots == std::string::npos) {
         parse_fail(line_number, "controllers must be 'begin..end', got '" + value + "'");
       }
-      tier.controllers_begin = std::atoi(value.substr(0, dots).c_str());
-      tier.controllers_end = std::atoi(value.substr(dots + 2).c_str());
+      tier.controllers_begin =
+          parse_integer<int>(trim(value.substr(0, dots)), line_number, "controller bound");
+      tier.controllers_end =
+          parse_integer<int>(trim(value.substr(dots + 2)), line_number, "controller bound");
     } else if (key == "capacity_bytes") {
       tier.params.capacity_bytes = parse_bytes(value, line_number);
     } else if (key == "peak_bw_gbs") {

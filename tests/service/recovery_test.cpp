@@ -4,6 +4,7 @@
 // a service whose process "dies" recovers its cache warmth from the
 // snapshot and answers the same queries as hits.
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -196,6 +197,22 @@ TEST_F(RecoveryTest, ClosedJournalBeginsAreNoOps) {
   EXPECT_EQ(journal.begin("POST", "/whatif", "{}"), 0u);
   journal.end(0);  // must not crash
   EXPECT_FALSE(journal.is_open());
+}
+
+TEST_F(RecoveryTest, JournalWriteFailureReturnsZeroAndIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  RequestJournal journal;
+  ASSERT_TRUE(journal.open("/dev/full", /*truncate=*/true));
+  EXPECT_TRUE(journal.first_error().empty());
+  // Every write to /dev/full fails with ENOSPC: the record never reached
+  // the disk, so the request is not journaled and end() has nothing to do.
+  EXPECT_EQ(journal.begin("POST", "/whatif", "{}"), 0u);
+  journal.end(0);
+  EXPECT_NE(journal.first_error().find("journal"), std::string::npos)
+      << journal.first_error();
+  const std::string first = journal.first_error();
+  EXPECT_EQ(journal.begin("POST", "/sweep", "{}"), 0u);
+  EXPECT_EQ(journal.first_error(), first);  // the first failure is kept
 }
 
 TEST_F(RecoveryTest, ServiceJournalsAdmittedPostsAndEndsThem) {

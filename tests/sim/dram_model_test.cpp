@@ -1,7 +1,7 @@
 // Tests for the device-level DRAM model — including the cross-check that
 // the hand-calibrated node caps in knl_params.hpp are consistent with
 // device physics.
-#include "sim/dram_model.hpp"
+#include "dram_model.hpp"
 
 #include <gtest/gtest.h>
 

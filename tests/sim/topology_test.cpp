@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault/error.hpp"
@@ -159,6 +161,12 @@ TEST(TopologyValidate, RejectsNonPositiveEnvelope) {
   topology = small_two_tier();
   topology.tiers[0].params.idle_latency_ns = -1.0;
   expect_rejected(topology, "topology/bad-envelope");
+  topology = small_two_tier();
+  topology.tiers[0].params.peak_bw_gbs = std::numeric_limits<double>::infinity();
+  expect_rejected(topology, "topology/bad-envelope");
+  topology = small_two_tier();
+  topology.tiers[1].params.random_bw_gbs = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(topology, "topology/bad-envelope");
 }
 
 TEST(TopologyValidate, RejectsEmptyControllerRange) {
@@ -299,6 +307,49 @@ TEST(TopologyMachineFile, ParserRejections) {
   text.replace(text.find("capacity_bytes = 17179869184"), 28,
                "capacity_bytes = 0");
   expect_parse_rejected(text, "topology/zero-capacity");
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string with_replaced(std::string text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(TopologyMachineFile, ParserRejectsInexactAndNonDecimalNumbers) {
+  const std::string knl = MemoryTopology::knl7210().to_machine_file();
+  const std::pair<const char*, const char*> rows[] = {
+      {"peak_bw_gbs = 450", "peak_bw_gbs = inf"},
+      {"peak_bw_gbs = 450", "peak_bw_gbs = 0x190"},
+      {"peak_bw_gbs = 450", "peak_bw_gbs = 450 GB/s"},
+      {"idle_latency_ns = 154", "idle_latency_ns = 1e400"},
+      {"tiers = 2", "tiers = 2.9"},
+      {"capacity_bytes = 17179869184", "capacity_bytes = nan"},
+      {"capacity_bytes = 17179869184", "capacity_bytes = 1e30"},
+      {"capacity_bytes = 17179869184", "capacity_bytes = 18446744073709551616"},
+      {"capacity_bytes = 17179869184", "capacity_bytes = 16777216 TiB"},
+      {"capacity_bytes = 17179869184", "capacity_bytes = 0.5"},
+      {"controllers = 0..8", "controllers = 0..8x"},
+      {"controllers = 0..8", "controllers = 0.5..8"},
+      {"[tier 1]", "[tier 1b]"},
+  };
+  for (const auto& [from, to] : rows) {
+    SCOPED_TRACE(to);
+    expect_parse_rejected(with_replaced(knl, from, to), "topology/parse");
+  }
+}
+
+TEST(TopologyMachineFile, ParserKeepsExactByteCounts) {
+  const std::string knl = MemoryTopology::knl7210().to_machine_file();
+  // Above 2^53 a double cannot hold every integer; raw digits stay exact.
+  const MemoryTopology big = MemoryTopology::parse_machine_file(with_replaced(
+      knl, "capacity_bytes = 17179869184", "capacity_bytes = 18446744073709551615"));
+  EXPECT_EQ(big.tier(0).params.capacity_bytes, 18446744073709551615ull);
+  const MemoryTopology fractional = MemoryTopology::parse_machine_file(
+      with_replaced(knl, "capacity_bytes = 17179869184", "capacity_bytes = 1.5 GiB"));
+  EXPECT_EQ(fractional.tier(0).params.capacity_bytes, 3 * GiB / 2);
 }
 
 /// Property: randomized valid topologies round-trip exactly, including

@@ -210,8 +210,19 @@ int main(int argc, char** argv) {
     // bench scrape it to find an ephemeral listener.
     std::cout << "knl-serve listening on 127.0.0.1:" << server.port() << std::endl;
 
+    // A journal that cannot reach the disk keeps serving but stops
+    // protecting in-flight requests; say so once.
+    bool journal_error_logged = false;
+    const auto log_journal_error = [&] {
+      if (journal_error_logged) return;
+      const std::string error = journal.first_error();
+      if (error.empty()) return;
+      std::cerr << "knl-serve: " << error << " (in-flight requests are not journaled)\n";
+      journal_error_logged = true;
+    };
     while (!g_stop.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      log_journal_error();
     }
 
     // Graceful drain: a watchdog bounds the whole exit path, so a wedged
@@ -228,6 +239,7 @@ int main(int argc, char** argv) {
     server.stop();  // closes the listener, joins connections (in-flight finish)
     if (snapshotter != nullptr) snapshotter->stop();
     service.set_journal(nullptr);
+    log_journal_error();
     journal.close();
     if (!snapshot_path.empty()) {
       std::string error;
