@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     const RunResult pure_cache = machine.run(profile, {MemConfig::CacheMode, 64});
     for (const double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
       const auto flat_bytes = static_cast<std::uint64_t>(
-          (1.0 - frac) * static_cast<double>(machine.config().timing.hbm.capacity_bytes));
+          (1.0 - frac) * static_cast<double>(machine.config().fast_tier().capacity_bytes));
       const RunResult r = machine.run_hybrid(profile, 64, frac, flat_bytes);
       if (r.feasible) figure.add("hybrid", frac, minife.metric(r));
     }

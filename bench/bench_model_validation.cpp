@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       cfg.node = node;
       TraceMachine machine(cfg);
       replay[idx] = machine.replay_chained(addrs, 1).avg_access_ns();
-      model[idx] = analytic.effective_latency_ns(phase, node, 1, 0.0);
+      model[idx] = analytic.effective_latency_ns(phase, node, params::kDdr, 0.0);
       ++idx;
     }
     std::printf("%9.0f MB  %8.1f / %-8.1f      %8.1f / %-8.1f\n",

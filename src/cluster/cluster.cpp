@@ -118,8 +118,7 @@ CapacityPlan CapacityPlanner::plan(const NodeWorkloadFactory& factory,
                                    const CommModel& comm) const {
   CapacityPlan best;
   bool have_best = false;
-  const std::uint64_t hbm_capacity =
-      cluster_.node().config().timing.hbm.capacity_bytes;
+  const std::uint64_t hbm_capacity = cluster_.node().config().fast_tier().capacity_bytes;
 
   for (const int nodes : node_counts) {
     for (const MemConfig config :

@@ -143,7 +143,7 @@ bool atomic_write_files(const std::string& dir, const std::vector<FileWrite>& fi
 }
 
 std::optional<std::string> read_text_file(const std::string& path,
-                                          std::string* error) {
+                                          std::size_t max_bytes, std::string* error) {
   fault::maybe_inject(fault::kSiteJsonRead, basename_key(path));
 
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -156,13 +156,21 @@ std::optional<std::string> read_text_file(const std::string& path,
   std::string text;
   char buffer[1 << 16];
   std::size_t got = 0;
+  bool too_long = false;
   while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+    if (got > max_bytes - text.size()) {
+      too_long = true;
+      break;
+    }
     text.append(buffer, got);
   }
   const bool failed = std::ferror(file) != 0;
   std::fclose(file);
-  if (failed) {
-    if (error != nullptr) *error = "could not read " + path;
+  if (too_long || failed) {
+    if (error != nullptr) {
+      *error = too_long ? path + " exceeds " + std::to_string(max_bytes) + " bytes"
+                        : "could not read " + path;
+    }
     return std::nullopt;
   }
   return text;
@@ -175,9 +183,10 @@ bool write_file_with_retry(const std::string& path, const std::string& text,
 }
 
 std::optional<std::string> read_file_with_retry(const std::string& path,
+                                                std::size_t max_bytes,
                                                 std::string* error) {
   return fault::with_retry(fault::RetryPolicy{}, basename_key(path),
-                           [&] { return read_text_file(path, error); });
+                           [&] { return read_text_file(path, max_bytes, error); });
 }
 
 std::uint64_t fnv1a(std::string_view text) noexcept {

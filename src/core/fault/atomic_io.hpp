@@ -62,8 +62,11 @@ struct FileWrite {
 /// fsync (_commit on Windows) a flushed stdio stream; false on failure.
 [[nodiscard]] bool fsync_file(std::FILE* file);
 
-/// Read a whole file; nullopt (with *error) when missing or unreadable.
+/// Read a whole file of at most `max_bytes` bytes; nullopt (with *error)
+/// when missing, unreadable, or longer than the cap — so an endless device
+/// such as /dev/full reads as an error instead of growing the heap.
 [[nodiscard]] std::optional<std::string> read_text_file(const std::string& path,
+                                                        std::size_t max_bytes,
                                                         std::string* error);
 
 /// Retrying variants for production call sites: absorb Transient
@@ -75,7 +78,7 @@ struct FileWrite {
                                          const std::string& text,
                                          std::string* error);
 [[nodiscard]] std::optional<std::string> read_file_with_retry(
-    const std::string& path, std::string* error);
+    const std::string& path, std::size_t max_bytes, std::string* error);
 
 /// FNV-1a 64 content hash — the artifact digest the run journal records.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view text) noexcept;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace knl {
 
@@ -17,25 +18,29 @@ std::vector<double> all_on(const sim::MemoryTopology& topology, int tier) {
 
 }  // namespace
 
-Machine::Machine(MachineConfig config) : config_(config), timing_(config.timing) {
+Machine::Machine(MachineConfig config) : config_(std::move(config)), timing_(config_.timing) {
   config_.validate();
-  topology_ = config_.resolved_topology();
+  fast_ = config_.topology.fast_tier();
+  dram_ = config_.topology.dram_tier();
 }
 
 std::string Machine::describe() const {
   const auto& t = config_.timing;
+  const sim::MemoryTopology& topology = config_.topology;
+  const params::NodeParams& ddr = config_.dram_tier();
+  const params::NodeParams& hbm = config_.fast_tier();
   std::ostringstream os;
   os << "simulated KNL-class node (paper testbed: KNL 7210, quadrant mode)\n";
   os << "  cores: " << t.cores << " @ " << params::kClockGHz << " GHz, "
      << t.smt_per_core << " HT/core\n";
   os << "  L1: " << params::kL1Bytes / KiB << " KiB/core; L2: "
      << params::kL2Bytes / MiB << " MiB/tile x " << params::kTiles << " tiles\n";
-  os << "  DDR:    " << t.ddr.capacity_bytes / GiB << " GiB, stream "
-     << t.ddr.stream_bw_gbs << " GB/s (paper Fig. 2), random " << t.ddr.random_bw_gbs
-     << " GB/s, idle " << t.ddr.idle_latency_ns << " ns (paper SIV-A)\n";
-  os << "  MCDRAM: " << t.hbm.capacity_bytes / GiB << " GiB, stream cap "
-     << t.hbm.stream_bw_gbs << " GB/s (Fig. 5 @4HT), random " << t.hbm.random_bw_gbs
-     << " GB/s, idle " << t.hbm.idle_latency_ns << " ns (paper SIV-A)\n";
+  os << "  DDR:    " << ddr.capacity_bytes / GiB << " GiB, stream "
+     << ddr.stream_bw_gbs << " GB/s (paper Fig. 2), random " << ddr.random_bw_gbs
+     << " GB/s, idle " << ddr.idle_latency_ns << " ns (paper SIV-A)\n";
+  os << "  MCDRAM: " << hbm.capacity_bytes / GiB << " GiB, stream cap "
+     << hbm.stream_bw_gbs << " GB/s (Fig. 5 @4HT), random " << hbm.random_bw_gbs
+     << " GB/s, idle " << hbm.idle_latency_ns << " ns (paper SIV-A)\n";
   os << "  MLP: seq " << t.seq_mlp_per_core << " lines/core (330 GB/s anchor), "
      << "random " << t.rand_mlp_per_thread << " lines/thread\n";
   os << "  MCDRAM cache: direct-mapped " << t.mcdram.capacity_bytes / GiB
@@ -43,16 +48,16 @@ std::string Machine::describe() const {
      << t.mcdram.sweep_sharpness << " (cache-mode STREAM anchors)\n";
   os << "  TLB: " << t.tlb.entries << " x " << t.tlb.page_bytes / MiB
      << " MiB pages (Fig. 3 rise at 128 MiB)\n";
-  os << "  topology: " << topology_.name << ", " << topology_.tier_count()
-     << " tiers (" << topology_.tier_names() << ")\n";
-  for (std::size_t i = 0; i < topology_.tier_count(); ++i) {
-    const sim::MemoryTier& tier = topology_.tier(i);
+  os << "  topology: " << topology.name << ", " << topology.tier_count()
+     << " tiers (" << topology.tier_names() << ")\n";
+  for (std::size_t i = 0; i < topology.tier_count(); ++i) {
+    const sim::MemoryTier& tier = topology.tier(i);
     os << "    [" << i << "] " << tier.name << " (" << sim::to_string(tier.kind)
        << "): " << tier.params.capacity_bytes / GiB << " GiB, stream "
        << tier.params.stream_bw_gbs << " GB/s, idle " << tier.params.idle_latency_ns
        << " ns, controllers " << tier.controllers_begin << ".." << tier.controllers_end;
     if (tier.backing != -1) {
-      os << ", spills to " << topology_.tier(static_cast<std::size_t>(tier.backing)).name;
+      os << ", spills to " << topology.tier(static_cast<std::size_t>(tier.backing)).name;
     }
     if (tier.cache_front) os << ", cache-capable";
     os << "\n";
@@ -63,22 +68,23 @@ std::string Machine::describe() const {
 mem::NumaTopology Machine::topology(MemConfig config) const {
   const MemoryMode mode =
       config == MemConfig::CacheMode ? MemoryMode::Cache : MemoryMode::Flat;
-  return mem::NumaTopology(mode, 0.5, config_.timing.ddr.capacity_bytes,
-                           config_.timing.hbm.capacity_bytes);
+  return mem::NumaTopology(mode, 0.5, config_.dram_tier().capacity_bytes,
+                           config_.fast_tier().capacity_bytes);
 }
 
 Machine::Resolved Machine::resolve_waterfall(std::uint64_t resident_bytes, int preferred,
                                              bool strict) const {
+  const sim::MemoryTopology& topology = config_.topology;
   const sim::TierPlacement placed =
-      sim::place_waterfall(topology_, resident_bytes, preferred, strict);
+      sim::place_waterfall(topology, resident_bytes, preferred, strict);
   Resolved resolved;
   if (!placed.ok) {
     resolved.error = placed.error;
     return resolved;
   }
   resolved.ok = true;
-  resolved.fractions.assign(topology_.tier_count(), 0.0);
-  for (std::size_t i = 0; i < topology_.tier_count(); ++i) {
+  resolved.fractions.assign(topology.tier_count(), 0.0);
+  for (std::size_t i = 0; i < topology.tier_count(); ++i) {
     resolved.fractions[i] = placed.fraction_in(static_cast<int>(i));
   }
   // Empty resident sets place nowhere; charge the preferred tier so the
@@ -94,13 +100,14 @@ Machine::Resolved Machine::resolve_interleave(std::uint64_t resident_bytes) cons
   // tiers; a tier that fills drops out and the survivors keep rotating.
   // Byte-granular equivalent: repeatedly split the remainder evenly over
   // the tiers with free capacity.
-  const std::size_t n = topology_.tier_count();
+  const sim::MemoryTopology& topology = config_.topology;
+  const std::size_t n = topology.tier_count();
   std::vector<std::uint64_t> taken(n, 0);
   std::uint64_t remaining = resident_bytes;
   while (remaining > 0) {
     std::vector<std::size_t> open;
     for (std::size_t i = 0; i < n; ++i) {
-      if (taken[i] < topology_.tier(i).params.capacity_bytes) open.push_back(i);
+      if (taken[i] < topology.tier(i).params.capacity_bytes) open.push_back(i);
     }
     if (open.empty()) break;
     const std::uint64_t base = remaining / open.size();
@@ -109,7 +116,7 @@ Machine::Resolved Machine::resolve_interleave(std::uint64_t resident_bytes) cons
     for (const std::size_t i : open) {
       std::uint64_t want = base + (extra > 0 ? 1 : 0);
       if (extra > 0) --extra;
-      const std::uint64_t free_bytes = topology_.tier(i).params.capacity_bytes - taken[i];
+      const std::uint64_t free_bytes = topology.tier(i).params.capacity_bytes - taken[i];
       const std::uint64_t got = std::min(want, free_bytes);
       taken[i] += got;
       absorbed += got;
@@ -125,7 +132,7 @@ Machine::Resolved Machine::resolve_interleave(std::uint64_t resident_bytes) cons
   resolved.ok = true;
   resolved.fractions.assign(n, 0.0);
   if (resident_bytes == 0) {
-    resolved.fractions[static_cast<std::size_t>(topology_.dram_tier())] = 1.0;
+    resolved.fractions[static_cast<std::size_t>(dram_)] = 1.0;
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       resolved.fractions[i] =
@@ -143,11 +150,11 @@ Machine::Resolved Machine::resolve(std::uint64_t resident_bytes,
   // one and fails otherwise.
   switch (placement) {
     case Placement::DDR:
-      return resolve_waterfall(resident_bytes, topology_.dram_tier(), /*strict=*/false);
+      return resolve_waterfall(resident_bytes, dram_, /*strict=*/false);
     case Placement::HBM:
-      return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/true);
+      return resolve_waterfall(resident_bytes, fast_, /*strict=*/true);
     case Placement::Preferred:
-      return resolve_waterfall(resident_bytes, topology_.fast_tier(), /*strict=*/false);
+      return resolve_waterfall(resident_bytes, fast_, /*strict=*/false);
     case Placement::Interleave:
       return resolve_interleave(resident_bytes);
   }
@@ -165,7 +172,8 @@ DetailedRunResult Machine::run_impl(const trace::AccessProfile& profile,
   double latency_weight = 0.0;
   double hit_weight = 0.0;
   for (const auto& phase : profile.phases()) {
-    const sim::PhaseTiming t = timing_.time_phase(phase, run_config, topology_, fractions);
+    const sim::PhaseTiming t =
+        timing_.time_phase(phase, run_config, config_.topology, fractions);
     r.seconds += t.seconds;
     r.bytes_from_memory += t.memory_bytes;
     r.flops += phase.flops;
@@ -222,9 +230,8 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
   if (cache_fraction < 0.0 || cache_fraction > 1.0) {
     throw std::invalid_argument("run_hybrid: cache_fraction outside [0,1]");
   }
-  const int fast = topology_.fast_tier();
-  const int dram = topology_.dram_tier();
-  const auto hbm_total = topology_.tier(static_cast<std::size_t>(fast)).params.capacity_bytes;
+  const sim::MemoryTopology& topology = config_.topology;
+  const auto hbm_total = topology.tier(static_cast<std::size_t>(fast_)).params.capacity_bytes;
   const auto cache_bytes =
       static_cast<std::uint64_t>(static_cast<double>(hbm_total) * cache_fraction);
   const auto flat_capacity = hbm_total - cache_bytes;
@@ -237,7 +244,7 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
   }
   if (resident < flat_hbm_bytes) flat_hbm_bytes = resident;
   if (resident - flat_hbm_bytes >
-      topology_.tier(static_cast<std::size_t>(dram)).params.capacity_bytes) {
+      topology.tier(static_cast<std::size_t>(dram_)).params.capacity_bytes) {
     RunResult r;
     r.feasible = false;
     r.infeasible_reason = "hybrid: DDR cannot hold the spill";
@@ -255,8 +262,8 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
       resident == 0 ? 0.0
                     : static_cast<double>(flat_hbm_bytes) / static_cast<double>(resident);
 
-  const std::vector<double> on_fast = all_on(topology_, fast);
-  const std::vector<double> on_dram = all_on(topology_, dram);
+  const std::vector<double> on_fast = all_on(topology, fast_);
+  const std::vector<double> on_dram = all_on(topology, dram_);
 
   RunResult r;
   r.feasible = true;
@@ -282,13 +289,13 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
     double bytes = 0.0;
     double lat_acc = 0.0;
     if (hbm_part.logical_bytes > 0.0) {
-      const auto t = hybrid_timing.time_phase(hbm_part, flat_rc, topology_, on_fast);
+      const auto t = hybrid_timing.time_phase(hbm_part, flat_rc, topology, on_fast);
       seconds += t.seconds;
       bytes += t.memory_bytes;
       lat_acc += t.effective_latency_ns * t.memory_bytes;
     }
     if (ddr_part.logical_bytes > 0.0) {
-      const auto t = hybrid_timing.time_phase(ddr_part, cache_rc, topology_, on_dram);
+      const auto t = hybrid_timing.time_phase(ddr_part, cache_rc, topology, on_dram);
       seconds += t.seconds;
       bytes += t.memory_bytes;
       lat_acc += t.effective_latency_ns * t.memory_bytes;
@@ -296,7 +303,7 @@ RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,
     }
     if (phase.pattern == trace::Pattern::Compute && phase.flops > 0.0) {
       // Pure-compute phases do not split: time once at full flops.
-      const auto t = hybrid_timing.time_phase(phase, flat_rc, topology_, on_dram);
+      const auto t = hybrid_timing.time_phase(phase, flat_rc, topology, on_dram);
       seconds = t.seconds;
     }
     r.seconds += seconds;

@@ -1,6 +1,6 @@
 // Machine: the top-level simulated KNL-class node.
 //
-// Combines the resolved memory topology with the timing model. Every run is
+// Combines the configured memory topology with the timing model. Every run is
 // one placement decision (waterfall or interleave over the declared tiers,
 // yielding the byte share each tier holds) followed by one timing rule
 // (TimingModel::time_phase over those shares). `run` executes one workload
@@ -37,10 +37,9 @@ class Machine {
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
   [[nodiscard]] const sim::TimingModel& timing() const noexcept { return timing_; }
 
-  /// The resolved declared memory topology this machine runs on (the
-  /// canonical two-tier derivation unless the config declared one).
+  /// The memory topology this machine runs on (the config's).
   [[nodiscard]] const sim::MemoryTopology& memory_topology() const noexcept {
-    return topology_;
+    return config_.topology;
   }
 
   /// NUMA topology the OS would expose under the given configuration.
@@ -94,7 +93,8 @@ class Machine {
 
   MachineConfig config_;
   sim::TimingModel timing_;
-  sim::MemoryTopology topology_;
+  int fast_ = 0;  ///< MemoryTopology::fast_tier() of the config's topology
+  int dram_ = 0;  ///< MemoryTopology::dram_tier() of the config's topology
 };
 
 }  // namespace knl

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 namespace knl {
 
@@ -36,88 +37,68 @@ void mix_node(std::uint64_t& h, const params::NodeParams& node) {
   mix(h, node.idle_latency_ns);
 }
 
-// The canonical two-tier derivation: what the timing view has always
-// implied. MCDRAM spans the 8 EDC controllers and can front DDR as a cache;
-// DDR4 spans the 6 DDR channels. With default timing this is exactly
-// sim::MemoryTopology::knl7210().
-sim::MemoryTopology derived_topology(const sim::TimingConfig& timing) {
-  sim::MemoryTopology topology;
-  topology.name = "knl7210";
-  topology.tiers = {
-      sim::MemoryTier{.name = "MCDRAM",
-                      .kind = sim::TierKind::HBM,
-                      .params = timing.hbm,
-                      .controllers_begin = 0,
-                      .controllers_end = 8,
-                      .backing = 1,
-                      .cache_front = true},
-      sim::MemoryTier{.name = "DDR4",
-                      .kind = sim::TierKind::DRAM,
-                      .params = timing.ddr,
-                      .controllers_begin = 8,
-                      .controllers_end = 14,
-                      .backing = -1,
-                      .cache_front = false},
-  };
-  return topology;
+// The canonical two-tier KNL shape built from `fast` and `dram`: MCDRAM
+// spans the 8 EDC controllers and can front DDR as a cache; DDR4 spans the
+// 6 DDR channels. With default envelopes this is exactly knl7210().
+bool is_canonical_knl(const sim::MemoryTopology& topology,
+                      const params::NodeParams& fast, const params::NodeParams& dram) {
+  if (topology.tier_count() != 2) return false;
+  sim::MemoryTopology canonical = sim::MemoryTopology::knl7210();
+  canonical.tiers[0].params = fast;
+  canonical.tiers[1].params = dram;
+  return topology == canonical;
+}
+
+// A KNL-base config declaring `topology`; a cache-capable fast tier also
+// sizes the memory-side MCDRAM cache.
+MachineConfig declaring(sim::MemoryTopology topology) {
+  MachineConfig cfg;
+  cfg.topology = std::move(topology);
+  const sim::MemoryTier& fast =
+      cfg.topology.tier(static_cast<std::size_t>(cfg.topology.fast_tier()));
+  if (fast.cache_front) cfg.timing.mcdram.capacity_bytes = fast.params.capacity_bytes;
+  return cfg;
 }
 
 }  // namespace
 
-sim::MemoryTopology MachineConfig::resolved_topology() const {
-  return has_declared_topology() ? topology : derived_topology(timing);
+params::NodeParams& MachineConfig::fast_tier() {
+  return topology.tiers.at(static_cast<std::size_t>(topology.fast_tier())).params;
 }
 
-void MachineConfig::apply_topology(const sim::MemoryTopology& declared) {
-  declared.validate();
-  topology = declared;
-  const sim::MemoryTier& fast = declared.tier(
-      static_cast<std::size_t>(declared.fast_tier()));
-  const sim::MemoryTier& dram = declared.tier(
-      static_cast<std::size_t>(declared.dram_tier()));
-  timing.hbm = fast.params;
-  timing.ddr = dram.params;
-  if (fast.cache_front) timing.mcdram.capacity_bytes = fast.params.capacity_bytes;
+const params::NodeParams& MachineConfig::fast_tier() const {
+  return topology.tier(static_cast<std::size_t>(topology.fast_tier())).params;
+}
+
+params::NodeParams& MachineConfig::dram_tier() {
+  return topology.tiers.at(static_cast<std::size_t>(topology.dram_tier())).params;
+}
+
+const params::NodeParams& MachineConfig::dram_tier() const {
+  return topology.tier(static_cast<std::size_t>(topology.dram_tier())).params;
 }
 
 MachineConfig MachineConfig::from_machine_file(const std::string& text) {
-  MachineConfig cfg;
-  cfg.apply_topology(sim::MemoryTopology::parse_machine_file(text));
-  return cfg;
+  return declaring(sim::MemoryTopology::parse_machine_file(text));
 }
 
 void MachineConfig::validate() const {
-  if (has_declared_topology()) {
-    topology.validate();
-    const sim::MemoryTier& fast =
-        topology.tier(static_cast<std::size_t>(topology.fast_tier()));
-    const sim::MemoryTier& dram =
-        topology.tier(static_cast<std::size_t>(topology.dram_tier()));
-    if (!(fast.params == timing.hbm) || !(dram.params == timing.ddr)) {
-      throw std::invalid_argument(
-          "MachineConfig: declared topology and timing views disagree "
-          "(use apply_topology to keep them in sync)");
-    }
-  }
-  if (timing.ddr.peak_bw_gbs <= 0.0 || timing.hbm.peak_bw_gbs <= 0.0) {
-    throw std::invalid_argument("MachineConfig: bandwidths must be positive");
-  }
-  if (timing.ddr.idle_latency_ns <= 0.0 || timing.hbm.idle_latency_ns <= 0.0) {
-    throw std::invalid_argument("MachineConfig: latencies must be positive");
-  }
+  topology.validate();
   if (timing.mcdram.capacity_bytes == 0) {
     throw std::invalid_argument("MachineConfig: cache size must be positive");
   }
 }
 
 std::uint64_t MachineConfig::fingerprint() const {
+  const params::NodeParams& fast = fast_tier();
+  const params::NodeParams& dram = dram_tier();
   std::uint64_t h = kFnvOffset;
   // Schema version first: a bump invalidates every cached result derived
   // from the old field set, even where raw parameter bytes would collide.
   mix(h, schema_version);
-  // Timing view.
-  mix_node(h, timing.ddr);
-  mix_node(h, timing.hbm);
+  // Tier envelopes, then the timing parameters.
+  mix_node(h, dram);
+  mix_node(h, fast);
   mix(h, timing.hierarchy.l1_bytes);
   mix(h, timing.hierarchy.l2_tile_bytes);
   mix(h, timing.hierarchy.tiles);
@@ -149,34 +130,31 @@ std::uint64_t MachineConfig::fingerprint() const {
   // DDR and HBM node envelopes, fragmentation, seed) mixed in here. No
   // model code reads it any more, but goldens and persisted caches are keyed
   // on the historical fingerprint, so the same bytes are mixed in the same
-  // order, rebuilt from what that view always held: the declared tiers when
-  // a topology is declared, else the default envelopes with the timing
-  // view's capacities. That is why knl7210_equal_latency() still mixes the
-  // default HBM latency here, not its timing view's equalized one.
+  // order, rebuilt from what that view always held: the default envelopes
+  // with the tier capacities on the canonical KNL shape, else the tier
+  // envelopes themselves. That is why knl7210_equal_latency() still mixes
+  // the default HBM latency here, not its fast tier's equalized one.
+  const bool canonical = is_canonical_knl(topology, fast, dram);
   mix(h, params::kPageBytes);
-  if (has_declared_topology()) {
-    mix_node(h, topology.tier(static_cast<std::size_t>(topology.dram_tier())).params);
-    mix_node(h, topology.tier(static_cast<std::size_t>(topology.fast_tier())).params);
+  if (canonical) {
+    params::NodeParams page_ddr = params::kDdr;
+    params::NodeParams page_hbm = params::kHbm;
+    page_ddr.capacity_bytes = dram.capacity_bytes;
+    page_hbm.capacity_bytes = fast.capacity_bytes;
+    mix_node(h, page_ddr);
+    mix_node(h, page_hbm);
   } else {
-    params::NodeParams ddr = params::kDdr;
-    params::NodeParams hbm = params::kHbm;
-    ddr.capacity_bytes = timing.ddr.capacity_bytes;
-    hbm.capacity_bytes = timing.hbm.capacity_bytes;
-    mix_node(h, ddr);
-    mix_node(h, hbm);
+    mix_node(h, dram);
+    mix_node(h, fast);
   }
   // The page view's fragmentation probability and allocator seed.
   constexpr double kPageViewFragmentation = 0.05;
   constexpr std::uint64_t kPageViewSeed = 0x9E3779B97F4A7C15ull;
   mix(h, kPageViewFragmentation);
   mix(h, kPageViewSeed);
-  // Topology: mixed only when it deviates from the canonical two-tier
-  // derivation. A declaration equal to the derivation leaves the resolved
-  // topology unchanged, so skipping it keeps the mapping injective *and*
-  // preserves the KNL fingerprint embedded in the golden artifacts.
-  if (has_declared_topology() && !(topology == derived_topology(timing))) {
-    topology.mix_fingerprint(h);
-  }
+  // Topology: mixed only when it deviates from the canonical KNL shape,
+  // whose every other field is already named by the envelopes above.
+  if (!canonical) topology.mix_fingerprint(h);
   return h;
 }
 
@@ -184,7 +162,7 @@ MachineConfig MachineConfig::knl7210() { return MachineConfig{}; }
 
 MachineConfig MachineConfig::knl7210_equal_latency() {
   MachineConfig cfg;
-  cfg.timing.hbm.idle_latency_ns = cfg.timing.ddr.idle_latency_ns;
+  cfg.fast_tier().idle_latency_ns = cfg.dram_tier().idle_latency_ns;
   return cfg;
 }
 
@@ -198,8 +176,7 @@ MachineConfig MachineConfig::knl7210_snc4() {
 }
 
 MachineConfig MachineConfig::xeon_max() {
-  MachineConfig cfg;
-  cfg.apply_topology(sim::MemoryTopology::xeon_max());
+  MachineConfig cfg = declaring(sim::MemoryTopology::xeon_max());
   // Sapphire Rapids core complex: 56 performance cores, 2-way SMT, deeper
   // out-of-order windows than KNL's Silvermont-derived cores.
   cfg.timing.cores = 56;
@@ -210,16 +187,14 @@ MachineConfig MachineConfig::xeon_max() {
 }
 
 MachineConfig MachineConfig::knl_nvm() {
-  MachineConfig cfg;
-  cfg.apply_topology(sim::MemoryTopology::knl_nvm());
-  return cfg;
+  return declaring(sim::MemoryTopology::knl_nvm());
 }
 
 MachineConfig MachineConfig::ddr_only() {
   MachineConfig cfg;
   // Shrink MCDRAM to a negligible sliver rather than zero so invariants and
   // topology math remain well-defined; HBM placements will simply fail.
-  cfg.timing.hbm.capacity_bytes = params::kPageBytes;
+  cfg.fast_tier().capacity_bytes = params::kPageBytes;
   return cfg;
 }
 

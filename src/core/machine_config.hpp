@@ -30,29 +30,23 @@ struct MachineConfig {
 
   sim::TimingConfig timing = {};
 
-  /// Declared memory topology (sim/topology.hpp). Empty tiers (the default)
-  /// mean "derived": resolved_topology() synthesizes the canonical two-tier
-  /// hierarchy from the timing view, so existing code that hand-tweaks
-  /// `timing` after construction keeps working untouched. Multi-tier
-  /// machines (machine files, xeon_max(), knl_nvm()) declare it explicitly;
-  /// declared topologies must stay in sync with the timing view (validate()
-  /// cross-checks the fast and DRAM tiers).
-  sim::MemoryTopology topology = {};
+  /// The memory hierarchy: the one description of the memory tiers, read
+  /// by placement, timing, reports and the fingerprint alike. Defaults to
+  /// the paper testbed (16 GiB MCDRAM, cache-capable, over 96 GiB DDR4);
+  /// machine files, xeon_max() and knl_nvm() declare others.
+  sim::MemoryTopology topology = sim::MemoryTopology::knl7210();
 
-  /// True when `topology` was declared (non-empty tier list) rather than
-  /// derived from the timing view.
-  [[nodiscard]] bool has_declared_topology() const noexcept {
-    return !topology.tiers.empty();
-  }
+  /// Envelope of the fast tier (MemoryTopology::fast_tier: MCDRAM on KNL)
+  /// and of the DRAM tier (MemoryTopology::dram_tier: DDR4 on KNL) — the
+  /// tiers presets, perturbations and reports name "HBM" and "DDR".
+  [[nodiscard]] params::NodeParams& fast_tier();
+  [[nodiscard]] const params::NodeParams& fast_tier() const;
+  [[nodiscard]] params::NodeParams& dram_tier();
+  [[nodiscard]] const params::NodeParams& dram_tier() const;
 
-  /// The effective topology: the declared one when present, else the
-  /// canonical two-tier derivation from `timing` (MCDRAM cache-capable over
-  /// DDR4, the paper testbed shape).
-  [[nodiscard]] sim::MemoryTopology resolved_topology() const;
-
-  /// Sanity-check invariants (parameters positive, declared topology
-  /// consistent with the timing view). Throws std::invalid_argument (or knl::Error CorruptInput from
-  /// topology validation) on violation.
+  /// Sanity-check invariants: the topology validates (knl::Error
+  /// CorruptInput with a `topology/...` slug, e.g. `topology/bad-envelope`)
+  /// and the MCDRAM cache has a size (std::invalid_argument).
   void validate() const;
 
   /// Content hash (FNV-1a) of every calibrated parameter. Two configs with
@@ -65,35 +59,32 @@ struct MachineConfig {
   /// fingerprints embedded in goldens and persisted caches stay valid.
   /// Pinned by tests/core/fingerprint_pin_test.cpp.
   ///
-  /// The topology is mixed in only when it differs from the canonical
-  /// two-tier derivation: a declaration equal to the derivation adds zero
-  /// information (the resolved topology is unchanged), so the mapping stays
-  /// injective and the historical KNL fingerprint — embedded in every golden
-  /// artifact — is preserved, while any real topology change (extra tier,
-  /// renamed tier, moved controller range, cache_front toggle) changes the
-  /// fingerprint. Asserted by tests/core/fingerprint_topology_test.cpp.
+  /// The topology itself is mixed in only when it differs from the
+  /// canonical two-tier KNL shape built from its own fast and DRAM
+  /// envelopes (which are always mixed): that shape adds no information
+  /// beyond those envelopes, so the mapping stays injective and the
+  /// historical KNL fingerprint — embedded in every golden artifact — is
+  /// preserved, while any real topology change (extra tier, renamed tier,
+  /// moved controller range, cache_front toggle) changes the fingerprint.
+  /// Asserted by tests/core/fingerprint_topology_test.cpp.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Overwrite the declared topology and synchronize the timing view with
-  /// it (fast tier -> hbm, DRAM tier -> ddr, cache-front capacity -> mcdram
-  /// cache capacity). The topology is validated first.
-  void apply_topology(const sim::MemoryTopology& declared);
-
   /// Build a config from a machine file (sim::MemoryTopology machine-file
-  /// format): parses, validates, and applies the declared topology onto the
-  /// KNL base (core counts and cache hierarchy stay at testbed defaults
-  /// unless the caller adjusts them afterwards).
+  /// format): parses and validates the topology and declares it on the KNL
+  /// base (a cache-capable fast tier also sizes the MCDRAM cache; core
+  /// counts and cache hierarchy stay at testbed defaults unless the caller
+  /// adjusts them afterwards).
   [[nodiscard]] static MachineConfig from_machine_file(const std::string& text);
 
   /// The paper's testbed configuration.
   [[nodiscard]] static MachineConfig knl7210();
 
   /// Xeon Max / Sapphire Rapids HBM node (Aurora-class): 64 GiB HBM2e over
-  /// 512 GiB DDR5, 56 cores with 2-way SMT. Declared topology.
+  /// 512 GiB DDR5, 56 cores with 2-way SMT.
   [[nodiscard]] static MachineConfig xeon_max();
 
   /// The KNL testbed plus a 512 GiB NVM-class far tier behind DDR (the
-  /// NUMA-emulation paper's spill path). Declared three-tier topology.
+  /// NUMA-emulation paper's spill path): a three-tier topology.
   [[nodiscard]] static MachineConfig knl_nvm();
 
   /// A machine with MCDRAM-like latency *equal* to DDR — the ablation

@@ -115,27 +115,6 @@ std::string Figure::to_json() const {
   return os.str();
 }
 
-std::string Figure::to_gnuplot() const {
-  std::ostringstream os;
-  os << "set title \"" << title_ << "\"\n";
-  os << "set xlabel \"" << x_label_ << "\"\n";
-  os << "set ylabel \"" << y_label_ << "\"\n";
-  os << "set key outside\n";
-  for (const auto& s : series_) {
-    os << "$" << 'd' << (&s - series_.data()) << " << EOD\n";
-    for (const auto& [x, y] : s.points) os << x << ' ' << y << '\n';
-    os << "EOD\n";
-  }
-  os << "plot ";
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "$d" << i << " using 1:2 with linespoints title \"" << series_[i].name
-       << "\"";
-  }
-  os << '\n';
-  return os.str();
-}
-
 std::string Figure::to_csv() const {
   std::set<double> xs;
   for (const auto& s : series_) {

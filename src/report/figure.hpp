@@ -41,10 +41,6 @@ class Figure {
   /// JSON object: {title, x_label, y_label, series: [{name, points: [[x,y]...]}]}.
   [[nodiscard]] std::string to_json() const;
 
-  /// A self-contained gnuplot script (inline data blocks) that renders the
-  /// figure with one line per series — paste into `gnuplot -p`.
-  [[nodiscard]] std::string to_gnuplot() const;
-
  private:
   std::string title_;
   std::string x_label_;

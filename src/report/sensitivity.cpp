@@ -12,15 +12,15 @@ namespace knl::report {
 std::vector<NamedPerturbation> standard_perturbations() {
   return {
       {"hbm_latency",
-       [](MachineConfig& cfg, double d) { cfg.timing.hbm.idle_latency_ns *= 1.0 + d; }},
+       [](MachineConfig& cfg, double d) { cfg.fast_tier().idle_latency_ns *= 1.0 + d; }},
       {"ddr_latency",
-       [](MachineConfig& cfg, double d) { cfg.timing.ddr.idle_latency_ns *= 1.0 + d; }},
+       [](MachineConfig& cfg, double d) { cfg.dram_tier().idle_latency_ns *= 1.0 + d; }},
       {"hbm_stream_bw",
-       [](MachineConfig& cfg, double d) { cfg.timing.hbm.stream_bw_gbs *= 1.0 + d; }},
+       [](MachineConfig& cfg, double d) { cfg.fast_tier().stream_bw_gbs *= 1.0 + d; }},
       {"ddr_stream_bw",
-       [](MachineConfig& cfg, double d) { cfg.timing.ddr.stream_bw_gbs *= 1.0 + d; }},
+       [](MachineConfig& cfg, double d) { cfg.dram_tier().stream_bw_gbs *= 1.0 + d; }},
       {"ddr_random_bw",
-       [](MachineConfig& cfg, double d) { cfg.timing.ddr.random_bw_gbs *= 1.0 + d; }},
+       [](MachineConfig& cfg, double d) { cfg.dram_tier().random_bw_gbs *= 1.0 + d; }},
       {"seq_mlp",
        [](MachineConfig& cfg, double d) { cfg.timing.seq_mlp_per_core *= 1.0 + d; }},
       {"rand_mlp",
@@ -48,13 +48,6 @@ std::vector<SensitivityRow> sensitivity_sweep(
     }
   }
   return rows;
-}
-
-bool all_hold(const std::vector<SensitivityRow>& rows) {
-  for (const auto& row : rows) {
-    if (!row.holds) return false;
-  }
-  return true;
 }
 
 namespace conclusions {

@@ -42,9 +42,6 @@ struct SensitivityRow {
     const MachineConfig& base, const std::vector<NamedPerturbation>& perturbations,
     const std::vector<double>& deltas, const Conclusion& conclusion);
 
-/// True if the conclusion holds for every row.
-[[nodiscard]] bool all_hold(const std::vector<SensitivityRow>& rows);
-
 /// Canned conclusions for the paper's headline claims.
 namespace conclusions {
 /// MiniFE (7.2 GB) gains >= `factor` from HBM at 64 threads.

@@ -1032,6 +1032,8 @@ std::vector<CapacitySweepRun> SweepPlanner::run() {
 
     const std::uint64_t set_bytes = grid.line_bytes * grid.num_sets;
     const sim::TimingConfig& timing = request.machine->timing().config();
+    const params::NodeParams& fast = request.machine->config().fast_tier();
+    const params::NodeParams& dram = request.machine->config().dram_tier();
     double logical_bytes = 0.0;
     for (const trace::AccessPhase& phase : request.profile.phases()) {
       logical_bytes += phase.logical_bytes;
@@ -1086,9 +1088,9 @@ std::vector<CapacitySweepRun> SweepPlanner::run() {
       mcdram.capacity_bytes = capacity;
       const sim::McdramCacheModel model(mcdram);
       cell.effective_bw_gbs = model.effective_bandwidth_gbs(
-          cell.hit_rate, timing.hbm.stream_bw_gbs, timing.ddr.stream_bw_gbs);
+          cell.hit_rate, fast.stream_bw_gbs, dram.stream_bw_gbs);
       cell.avg_latency_ns = model.effective_latency_ns(
-          cell.hit_rate, timing.hbm.idle_latency_ns, timing.ddr.idle_latency_ns);
+          cell.hit_rate, fast.idle_latency_ns, dram.idle_latency_ns);
       cell.seconds = cell.effective_bw_gbs > 0.0
                          ? logical_bytes / (cell.effective_bw_gbs * 1e9)
                          : 0.0;

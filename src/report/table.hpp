@@ -8,7 +8,7 @@
 namespace knl::report {
 
 /// Fixed-column table of strings: headers set once, rows appended, rendered
-/// in three formats. Column widths auto-size to the longest cell.
+/// in two formats. Column widths auto-size to the longest cell.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> headers);
@@ -20,8 +20,6 @@ class TextTable {
 
   /// Space-aligned plain text (what the bench binaries print).
   [[nodiscard]] std::string to_string() const;
-  /// GitHub-flavoured markdown table (pasteable into EXPERIMENTS.md).
-  [[nodiscard]] std::string to_markdown() const;
   /// Comma-separated values, one line per row, headers first.
   [[nodiscard]] std::string to_csv() const;
 

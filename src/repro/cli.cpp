@@ -345,7 +345,7 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
 
     const std::string artifact_path = (base / artifact_filename(spec.id)).string();
     if (const JournalEntry* entry = prior.find(spec.id)) {
-      const auto text = io::read_file_with_retry(artifact_path, nullptr);
+      const auto text = io::read_file_with_retry(artifact_path, kMaxArtifactBytes, nullptr);
       if (text && io::fnv1a_hex(*text) == entry->sha) {
         completed_ids.push_back(spec.id);
         ++skipped;

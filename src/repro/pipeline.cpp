@@ -367,7 +367,7 @@ bool write_artifacts(const std::vector<ExperimentResult>& results,
 }
 
 std::optional<json::Value> load_json_file(const std::string& path, std::string* error) {
-  const auto text = io::read_file_with_retry(path, error);
+  const auto text = io::read_file_with_retry(path, kMaxArtifactBytes, error);
   if (!text) return std::nullopt;
   std::string parse_error;
   auto value = json::Value::parse(*text, &parse_error);

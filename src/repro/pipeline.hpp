@@ -9,6 +9,7 @@
 // comparator gates against.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,10 @@
 #include "repro/json.hpp"
 
 namespace knl::repro {
+
+/// Read cap for artifact, manifest and golden files (each a few KiB): a
+/// longer file is reported as unreadable instead of being loaded.
+inline constexpr std::size_t kMaxArtifactBytes = std::size_t{64} << 20;
 
 struct PipelineOptions {
   /// Sweep worker threads per experiment: 0 = one per hardware thread,

@@ -14,6 +14,16 @@ namespace knl::service {
 
 using repro::json::Value;
 
+namespace {
+
+// Read cap for the snapshot and the journal: a longer file reads as absent
+// (the snapshot as Missing, the journal as empty) instead of exhausting
+// memory. A snapshot at the default cache bound is about 10 MiB; the journal
+// grows by a few hundred bytes per request until the next start truncates it.
+constexpr std::size_t kMaxRecoveryFileBytes = std::size_t{256} << 20;
+
+}  // namespace
+
 const char* to_string(SnapshotLoad result) {
   switch (result) {
     case SnapshotLoad::Recovered:
@@ -40,7 +50,7 @@ bool save_cache_snapshot(const std::string& path, std::string* error) {
 
 SnapshotLoad load_cache_snapshot(const std::string& path, std::string* detail) {
   std::string error;
-  const auto text = io::read_file_with_retry(path, &error);
+  const auto text = io::read_file_with_retry(path, kMaxRecoveryFileBytes, &error);
   if (!text.has_value()) {
     if (detail != nullptr) *detail = "no snapshot at " + path + " (" + error + ")";
     return SnapshotLoad::Missing;
@@ -158,7 +168,7 @@ std::string RequestJournal::first_error() const {
 std::vector<PendingRequest> RequestJournal::pending(const std::string& path) {
   std::vector<PendingRequest> out;
   std::string error;
-  const auto text = io::read_text_file(path, &error);
+  const auto text = io::read_text_file(path, kMaxRecoveryFileBytes, &error);
   if (!text.has_value()) return out;
 
   std::map<std::uint64_t, PendingRequest> open_requests;

@@ -593,7 +593,7 @@ Value PlacementService::do_placement(const Value& body,
 
   // Validate capacity up front so an impossible footprint reads as a bad
   // request, not as a Resource failure deep in the advisor.
-  if (app.footprint_bytes > machine.config().timing.ddr.capacity_bytes) {
+  if (app.footprint_bytes > machine.config().dram_tier().capacity_bytes) {
     throw Error::corrupt_input("service/bad-field",
                                "footprint_bytes exceeds the machine's DDR capacity");
   }

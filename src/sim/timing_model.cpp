@@ -92,7 +92,7 @@ double TimingModel::concurrency_lines(const trace::AccessPhase& phase, int threa
 
 double TimingModel::effective_latency_ns(const trace::AccessPhase& phase,
                                          const params::NodeParams& node,
-                                         [[maybe_unused]] int threads,
+                                         const params::NodeParams& dram,
                                          double utilization) const {
   const double r = regularity(phase);
 
@@ -101,7 +101,7 @@ double TimingModel::effective_latency_ns(const trace::AccessPhase& phase,
   // directory and the expected paging penalty on every miss. Page tables
   // live in the same node as the data (membind binds them too), so the walk
   // cost scales with the node's latency.
-  const double walk_scale = node.idle_latency_ns / config_.ddr.idle_latency_ns;
+  const double walk_scale = node.idle_latency_ns / dram.idle_latency_ns;
   const double dir_ns = (1.0 - r) * hierarchy_.directory_overhead_ns();
   const double tlb_ns =
       (1.0 - r) * walk_scale * tlb_.expected_penalty_ns(phase.footprint_bytes);
@@ -156,6 +156,7 @@ double TimingModel::node_cap_gbs(const trace::AccessPhase& phase,
 
 TimingModel::NodePath TimingModel::time_on_node(const trace::AccessPhase& phase,
                                                 const params::NodeParams& node,
+                                                const params::NodeParams& dram,
                                                 int threads, double bytes,
                                                 double conc_share) const {
   NodePath path;
@@ -168,7 +169,7 @@ TimingModel::NodePath TimingModel::time_on_node(const trace::AccessPhase& phase,
   // the throughput. At the cap, queueing raises the *observed* latency until
   // demand meets supply (M/D/1 equilibrium) — it does not push throughput
   // below the cap, so inflation is applied to the reported latency only.
-  const double lat0 = effective_latency_ns(phase, node, threads, 0.0);
+  const double lat0 = effective_latency_ns(phase, node, dram, 0.0);
   const double demand = conc * static_cast<double>(params::kLineBytes) / lat0;
 
   path.bw_gbs = std::min(path.cap_gbs, demand);
@@ -176,7 +177,7 @@ TimingModel::NodePath TimingModel::time_on_node(const trace::AccessPhase& phase,
   const double util = path.bw_gbs / path.cap_gbs;
   path.latency_ns = path.capped
                         ? conc * static_cast<double>(params::kLineBytes) / path.bw_gbs
-                        : effective_latency_ns(phase, node, threads, util);
+                        : effective_latency_ns(phase, node, dram, util);
   path.seconds = bytes / (path.bw_gbs * kNsPerSecond) * 1.0;  // bytes / (GB/s * 1e9 B/GB)
   return path;
 }
@@ -219,6 +220,7 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
   double mem_seconds = 0.0;
   if (mem_bytes > 0.0) {
     const int dram = topology.dram_tier();
+    const params::NodeParams& ddr_node = topology.tier(static_cast<std::size_t>(dram)).params;
     const int front =
         run.config == MemConfig::CacheMode ? topology.cache_front_of(dram) : -1;
     const bool cache_mode = front != -1;
@@ -272,8 +274,6 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         // DRAM tier.
         const params::NodeParams& hbm_node =
             topology.tier(static_cast<std::size_t>(front)).params;
-        const params::NodeParams& ddr_node =
-            topology.tier(static_cast<std::size_t>(dram)).params;
         const double r = regularity(phase);
         const double hit = r >= 0.5 ? mcdram_.sweep_hit_rate(phase.footprint_bytes)
                                     : mcdram_.random_hit_rate(phase.footprint_bytes);
@@ -282,8 +282,8 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         const double ddr_cap = node_cap_gbs(phase, ddr_node);
         const double blended_cap = mcdram_.effective_bandwidth_gbs(hit, hbm_cap, ddr_cap);
         const double conc = concurrency_lines(phase, threads) * share.conc_share;
-        const double lat_hbm = effective_latency_ns(phase, hbm_node, threads, 0.0);
-        const double lat_ddr = effective_latency_ns(phase, ddr_node, threads, 0.0);
+        const double lat_hbm = effective_latency_ns(phase, hbm_node, ddr_node, 0.0);
+        const double lat_ddr = effective_latency_ns(phase, ddr_node, ddr_node, 0.0);
         const double lat = mcdram_.effective_latency_ns(hit, lat_hbm, lat_ddr);
         const double demand = conc * static_cast<double>(params::kLineBytes) / lat;
         const double bw = std::min(blended_cap, demand);
@@ -292,8 +292,8 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         seconds = share.bytes / (bw * kNsPerSecond);
       } else {
         const NodePath path = time_on_node(
-            phase, topology.tier(static_cast<std::size_t>(share.tier)).params, threads,
-            share.bytes, share.conc_share);
+            phase, topology.tier(static_cast<std::size_t>(share.tier)).params, ddr_node,
+            threads, share.bytes, share.conc_share);
         seconds = path.seconds;
         latency_ns = path.latency_ns;
         capped = path.capped;

@@ -26,8 +26,6 @@
 namespace knl::sim {
 
 struct TimingConfig {
-  params::NodeParams ddr = params::kDdr;
-  params::NodeParams hbm = params::kHbm;
   HierarchyConfig hierarchy = {};
   TlbConfig tlb = {};
   McdramCacheConfig mcdram = {};
@@ -80,9 +78,11 @@ class TimingModel {
 
   /// Effective per-access memory latency for a phase hitting `node`,
   /// including directory, paging and load-dependent queueing at
-  /// `utilization` (0..1 of the node cap).
+  /// `utilization` (0..1 of the node cap). Page walks are priced relative
+  /// to the machine's DRAM tier `dram` (MemoryTopology::dram_tier).
   [[nodiscard]] double effective_latency_ns(const trace::AccessPhase& phase,
-                                            const params::NodeParams& node, int threads,
+                                            const params::NodeParams& node,
+                                            const params::NodeParams& dram,
                                             double utilization) const;
 
   /// Bytes of the phase's logical traffic that reach the memory system
@@ -110,7 +110,8 @@ class TimingModel {
   /// `conc_share` scales the machine-wide concurrency devoted to this node
   /// (split placements divide the cores' outstanding requests with traffic).
   [[nodiscard]] NodePath time_on_node(const trace::AccessPhase& phase,
-                                      const params::NodeParams& node, int threads,
+                                      const params::NodeParams& node,
+                                      const params::NodeParams& dram, int threads,
                                       double bytes, double conc_share) const;
 
   TimingConfig config_;

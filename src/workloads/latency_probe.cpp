@@ -49,8 +49,9 @@ double LatencyProbe::metric(const RunResult& result) const {
 
 double LatencyProbe::measured_latency_ns(const Machine& machine, MemNode node) const {
   const auto& timing = machine.timing();
-  const auto& node_params =
-      node == MemNode::DDR ? timing.config().ddr : timing.config().hbm;
+  const params::NodeParams& dram = machine.config().dram_tier();
+  const params::NodeParams& node_params =
+      node == MemNode::DDR ? dram : machine.config().fast_tier();
 
   trace::AccessPhase chase;
   chase.name = "probe";
@@ -64,13 +65,14 @@ double LatencyProbe::measured_latency_ns(const Machine& machine, MemNode node) c
   // excluded by the benchmark itself (block sizes well above 32 KB).
   const double p_l2 = timing.hierarchy().random_local_l2_hit(block_bytes_);
   const double l2_ns = timing.hierarchy().config().l2_latency_ns;
-  const double mem_ns = timing.effective_latency_ns(chase, node_params, 1, 0.0);
+  const double mem_ns = timing.effective_latency_ns(chase, node_params, dram, 0.0);
   return p_l2 * l2_ns + (1.0 - p_l2) * mem_ns;
 }
 
 double LatencyProbe::idle_latency_ns(const Machine& machine, MemNode node) {
-  const auto& cfg = machine.timing().config();
-  return node == MemNode::DDR ? cfg.ddr.idle_latency_ns : cfg.hbm.idle_latency_ns;
+  const MachineConfig& cfg = machine.config();
+  return node == MemNode::DDR ? cfg.dram_tier().idle_latency_ns
+                              : cfg.fast_tier().idle_latency_ns;
 }
 
 void LatencyProbe::verify() const {

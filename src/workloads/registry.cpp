@@ -1,6 +1,5 @@
 #include "workloads/registry.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "core/types.hpp"
@@ -48,23 +47,6 @@ const RegistryEntry& find_workload(const std::string& name) {
     if (entry.info.name == name) return entry;
   }
   throw std::invalid_argument("find_workload: unknown workload '" + name + "'");
-}
-
-std::string table1_string() {
-  std::ostringstream os;
-  os << "Table I: List of Evaluated Applications\n";
-  os << "Application  Type            Access Pattern  Max. Scale\n";
-  for (const auto& entry : registry()) {
-    if (entry.info.type == "Micro-benchmark") continue;  // Table I lists apps only
-    os << entry.info.name;
-    for (std::size_t i = entry.info.name.size(); i < 13; ++i) os << ' ';
-    os << entry.info.type;
-    for (std::size_t i = entry.info.type.size(); i < 16; ++i) os << ' ';
-    os << entry.info.access_pattern;
-    for (std::size_t i = entry.info.access_pattern.size(); i < 16; ++i) os << ' ';
-    os << entry.info.max_scale_bytes / 1000000000ull << " GB\n";
-  }
-  return os.str();
 }
 
 }  // namespace knl::workloads

@@ -24,7 +24,4 @@ struct RegistryEntry {
 /// Lookup by name (case-sensitive, e.g. "GUPS"). Throws if unknown.
 [[nodiscard]] const RegistryEntry& find_workload(const std::string& name);
 
-/// Render Table I (application, type, access pattern, max scale).
-[[nodiscard]] std::string table1_string();
-
 }  // namespace knl::workloads

@@ -19,6 +19,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+constexpr std::size_t kReadCap = std::size_t{1} << 20;
+
 // ---------------------------------------------------------------------------
 // knl::Error taxonomy
 // ---------------------------------------------------------------------------
@@ -337,22 +339,39 @@ TEST_F(AtomicIoTest, WriteReadRoundTripsAndLeavesNoTempFile) {
   const std::string path = (dir_ / "artifact.json").string();
   std::string error;
   ASSERT_TRUE(io::atomic_write_file(path, "{\"v\":1}\n", &error)) << error;
-  auto text = io::read_text_file(path, &error);
+  auto text = io::read_text_file(path, kReadCap, &error);
   ASSERT_TRUE(text.has_value()) << error;
   EXPECT_EQ(*text, "{\"v\":1}\n");
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 
   // Overwrite replaces atomically.
   ASSERT_TRUE(io::atomic_write_file(path, "{\"v\":2}\n", &error)) << error;
-  text = io::read_text_file(path, &error);
+  text = io::read_text_file(path, kReadCap, &error);
   ASSERT_TRUE(text.has_value());
   EXPECT_EQ(*text, "{\"v\":2}\n");
 }
 
 TEST_F(AtomicIoTest, ReadMissingFileReturnsReadableError) {
   std::string error;
-  EXPECT_FALSE(io::read_text_file((dir_ / "absent.json").string(), &error).has_value());
+  EXPECT_FALSE(io::read_text_file((dir_ / "absent.json").string(), kReadCap, &error).has_value());
   EXPECT_NE(error.find("absent.json"), std::string::npos);
+}
+
+TEST_F(AtomicIoTest, ReadLongerThanTheCapFails) {
+  const std::string path = (dir_ / "ten.json").string();
+  std::string error;
+  ASSERT_TRUE(io::atomic_write_file(path, "0123456789", &error)) << error;
+  EXPECT_EQ(io::read_text_file(path, 10, &error).value_or(""), "0123456789");
+  EXPECT_FALSE(io::read_text_file(path, 9, &error).has_value());
+  EXPECT_NE(error.find("exceeds 9 bytes"), std::string::npos) << error;
+}
+
+TEST_F(AtomicIoTest, ReadOfAnEndlessDeviceStopsAtTheCap) {
+  // /dev/full reads as an endless stream of zero bytes.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  std::string error;
+  EXPECT_FALSE(io::read_text_file("/dev/full", kReadCap, &error).has_value());
+  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
 }
 
 TEST_F(AtomicIoTest, WriteToMissingDirectoryFailsWithoutThrowing) {
@@ -371,7 +390,7 @@ TEST_F(AtomicIoTest, InjectedWriteFaultThrowsThenSucceedsOnRetry) {
   EXPECT_FALSE(fs::exists(path));  // fault fired before any bytes landed
   // The attempt budget is spent: the retry goes through.
   ASSERT_TRUE(io::atomic_write_file(path, "x\n", &error)) << error;
-  EXPECT_EQ(io::read_text_file(path, &error).value_or(""), "x\n");
+  EXPECT_EQ(io::read_text_file(path, kReadCap, &error).value_or(""), "x\n");
 }
 
 class AtomicBatchTest : public AtomicIoTest {
@@ -393,8 +412,8 @@ class AtomicBatchTest : public AtomicIoTest {
 
   void expect_untouched_and_no_temp() const {
     std::string error;
-    EXPECT_EQ(io::read_text_file(path("a.json"), &error).value_or(""), "old a\n");
-    EXPECT_EQ(io::read_text_file(path("d.json"), &error).value_or(""), "old d\n");
+    EXPECT_EQ(io::read_text_file(path("a.json"), kReadCap, &error).value_or(""), "old a\n");
+    EXPECT_EQ(io::read_text_file(path("d.json"), kReadCap, &error).value_or(""), "old d\n");
     EXPECT_FALSE(fs::exists(path("b.json")));
     EXPECT_FALSE(fs::exists(path("e.json")));
     expect_no_temp();
@@ -411,7 +430,7 @@ TEST_F(AtomicBatchTest, BatchReplacesEveryDestinationAndLeavesNoTempFile) {
   std::string error;
   ASSERT_TRUE(io::atomic_write_files(dir_.string(), batch("d.json"), &error)) << error;
   for (const char* name : {"a", "b", "d", "e"}) {
-    EXPECT_EQ(io::read_text_file(path(std::string(name) + ".json"), &error).value_or(""),
+    EXPECT_EQ(io::read_text_file(path(std::string(name) + ".json"), kReadCap, &error).value_or(""),
               std::string("new ") + name + "\n");
   }
   expect_no_temp();
@@ -441,7 +460,7 @@ TEST_F(AtomicBatchTest, TransientFaultsAreRetriedPerFile) {
       FaultPlan::parse("seed=1;site=json-write,rate=1,kind=transient,attempts=1"));
   std::string error;
   ASSERT_TRUE(io::atomic_write_files(dir_.string(), batch("d.json"), &error)) << error;
-  EXPECT_EQ(io::read_text_file(path("e.json"), &error).value_or(""), "new e\n");
+  EXPECT_EQ(io::read_text_file(path("e.json"), kReadCap, &error).value_or(""), "new e\n");
   expect_no_temp();
 }
 

@@ -14,8 +14,10 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/machine_config.hpp"
+#include "report/sensitivity.hpp"
 
 #ifndef KNLMEM_REPO_DIR
 #error "build must define KNLMEM_REPO_DIR (see tests/CMakeLists.txt)"
@@ -66,6 +68,38 @@ TEST(FingerprintPin, EveryMachineFileKeepsItsHistoricalFingerprint) {
   for (const auto& pin : pins) {
     const MachineConfig cfg = MachineConfig::from_machine_file(read_file(pin.file));
     EXPECT_EQ(hex(cfg.fingerprint()), pin.fingerprint) << pin.file;
+  }
+}
+
+TEST(FingerprintPin, EveryStandardPerturbationKeepsItsHistoricalFingerprint) {
+  // The sensitivity perturbations edit tiers through MachineConfig's tier
+  // accessors; each perturbed KNL config keeps its historical key, so
+  // cached results of perturbed machines stay warm.
+  const struct {
+    const char* name;
+    const char* minus;  // delta -0.1
+    const char* plus;   // delta +0.1
+  } pins[] = {
+      {"hbm_latency", "aae7acb3e4e0c3b3", "d0606577f90cbed6"},
+      {"ddr_latency", "31b5555fb455b12c", "cfc5570f6fc8c30e"},
+      {"hbm_stream_bw", "5443917935100fa8", "1b4643ddda6207cd"},
+      {"ddr_stream_bw", "268ba65d164768fb", "f90fee449bb6096e"},
+      {"ddr_random_bw", "86acc6b38c3573d9", "13f88fd21707ff4d"},
+      {"seq_mlp", "3850648d6b76e283", "4d5ad18ff7c4f442"},
+      {"rand_mlp", "b3f5192f8b838423", "4e3edfc475226783"},
+      {"mcdram_sweep_knee", "63f82f758b6dee81", "c028a4407955aa55"},
+  };
+  const std::vector<report::NamedPerturbation> perturbations =
+      report::standard_perturbations();
+  ASSERT_EQ(perturbations.size(), std::size(pins)) << "pin every standard perturbation here";
+  for (std::size_t i = 0; i < perturbations.size(); ++i) {
+    ASSERT_EQ(perturbations[i].name, pins[i].name);
+    MachineConfig minus = MachineConfig::knl7210();
+    perturbations[i].apply(minus, -0.1);
+    EXPECT_EQ(hex(minus.fingerprint()), pins[i].minus) << pins[i].name << " -0.1";
+    MachineConfig plus = MachineConfig::knl7210();
+    perturbations[i].apply(plus, 0.1);
+    EXPECT_EQ(hex(plus.fingerprint()), pins[i].plus) << pins[i].name << " +0.1";
   }
 }
 

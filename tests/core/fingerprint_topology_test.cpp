@@ -1,10 +1,10 @@
 // Fingerprint/topology contract: MachineConfig::fingerprint must change
-// exactly when the *resolved* topology (or any other modelled parameter)
-// changes. Two identities carry the whole golden corpus:
+// exactly when the topology (or any other modelled parameter) changes. Two
+// identities carry the whole golden corpus:
 //
-//   1. Declaring the canonical two-tier KNL topology adds nothing the
-//      timing view doesn't already encode, so the fingerprint is unchanged —
-//      golden artifacts recorded before topologies existed keep matching.
+//   1. The canonical two-tier KNL shape adds nothing its fast and DRAM
+//      envelopes don't already encode, so it is not mixed in — golden
+//      artifacts recorded before topologies existed keep matching.
 //   2. Any *divergent* declaration (extra tier, different envelope, renamed
 //      tier) perturbs the fingerprint, so per-profile goldens can never be
 //      confused across machines.
@@ -40,16 +40,24 @@ std::string read_file(const std::string& relative) {
 }
 
 TEST(FingerprintTopology, DeclaringTheCanonicalKnlTopologyIsAFingerprintNoOp) {
-  const MachineConfig plain = MachineConfig::knl7210();
-  MachineConfig declared = MachineConfig::knl7210();
-  declared.apply_topology(sim::MemoryTopology::knl7210());
-  ASSERT_TRUE(declared.has_declared_topology());
-  ASSERT_FALSE(plain.has_declared_topology());
-  // Same resolved hierarchy, same fingerprint: the goldens recorded before
-  // topologies existed stay valid through the declared path.
-  EXPECT_TRUE(plain.resolved_topology() == declared.resolved_topology());
+  const MachineConfig plain;
+  MachineConfig declared;
+  declared.topology = sim::MemoryTopology::knl7210();
+  // The default topology is the paper testbed, so declaring it changes
+  // nothing: the goldens recorded before topologies existed stay valid.
+  EXPECT_TRUE(plain.topology == declared.topology);
   EXPECT_EQ(plain.fingerprint(), declared.fingerprint());
   EXPECT_NO_THROW(declared.validate());
+}
+
+TEST(FingerprintTopology, KnlShapeWithEditedEnvelopesSharesItsPresetsKey) {
+  // A machine file declaring the KNL shape with MCDRAM latency equal to
+  // DDR's is the equal-latency preset, and takes the preset's key.
+  sim::MemoryTopology topology = sim::MemoryTopology::knl7210();
+  topology.tiers[0].params.idle_latency_ns = topology.tiers[1].params.idle_latency_ns;
+  const MachineConfig from_file = MachineConfig::from_machine_file(topology.to_machine_file());
+  EXPECT_EQ(from_file.fingerprint(), MachineConfig::knl7210_equal_latency().fingerprint());
+  EXPECT_NE(from_file.fingerprint(), MachineConfig::knl7210().fingerprint());
 }
 
 TEST(FingerprintTopology, MachineFileKnlMatchesTheDefaultFingerprint) {
@@ -65,7 +73,7 @@ TEST(FingerprintTopology, FingerprintChangesIffTheTopologyChanges) {
   MachineConfig renamed = MachineConfig::knl7210();
   sim::MemoryTopology topology = sim::MemoryTopology::knl7210();
   topology.tiers[0].name = "MCDRAM2";
-  renamed.apply_topology(topology);
+  renamed.topology = topology;
   EXPECT_NE(renamed.fingerprint(), knl);
 
   MachineConfig extra_tier = MachineConfig::knl_nvm();
@@ -73,9 +81,9 @@ TEST(FingerprintTopology, FingerprintChangesIffTheTopologyChanges) {
   EXPECT_NE(MachineConfig::xeon_max().fingerprint(), knl);
   EXPECT_NE(MachineConfig::xeon_max().fingerprint(), extra_tier.fingerprint());
 
-  // No change: re-applying the identical declaration is idempotent.
+  // No change: re-declaring the identical topology is idempotent.
   MachineConfig again = MachineConfig::knl_nvm();
-  again.apply_topology(sim::MemoryTopology::knl_nvm());
+  again.topology = sim::MemoryTopology::knl_nvm();
   EXPECT_EQ(again.fingerprint(), extra_tier.fingerprint());
 
   // A controller-range edit alone (same envelope) still changes identity —
@@ -84,21 +92,23 @@ TEST(FingerprintTopology, FingerprintChangesIffTheTopologyChanges) {
   topology = sim::MemoryTopology::knl7210();
   topology.tiers[0].controllers_end = 7;
   topology.tiers[1].controllers_begin = 7;
-  relaid.apply_topology(topology);
+  relaid.topology = topology;
   EXPECT_NE(relaid.fingerprint(), knl);
 }
 
-TEST(FingerprintTopology, ApplyTopologySyncsTheLegacyViews) {
-  MachineConfig cfg;
-  cfg.apply_topology(sim::MemoryTopology::xeon_max());
-  EXPECT_EQ(cfg.timing.hbm.capacity_bytes, 64 * GiB);
-  EXPECT_EQ(cfg.timing.ddr.capacity_bytes, 512 * GiB);
+TEST(FingerprintTopology, CacheFrontTierSizesTheMcdramCache) {
+  const MachineConfig cfg = MachineConfig::xeon_max();
+  EXPECT_EQ(cfg.fast_tier().capacity_bytes, 64 * GiB);
+  EXPECT_EQ(cfg.dram_tier().capacity_bytes, 512 * GiB);
   EXPECT_EQ(cfg.timing.mcdram.capacity_bytes, 64 * GiB);  // cache-capable front
   EXPECT_NO_THROW(cfg.validate());
 
-  // Desynchronizing the views after apply_topology is a validation error.
-  cfg.timing.hbm.stream_bw_gbs += 1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A machine file whose fast tier cannot front DRAM leaves the cache at
+  // the testbed default.
+  sim::MemoryTopology topology = sim::MemoryTopology::xeon_max();
+  topology.tiers[0].cache_front = false;
+  const MachineConfig flat_only = MachineConfig::from_machine_file(topology.to_machine_file());
+  EXPECT_EQ(flat_only.timing.mcdram.capacity_bytes, MachineConfig{}.timing.mcdram.capacity_bytes);
 }
 
 TEST(FingerprintTopology, ShippedMachineFilesMatchTheirBuilders) {
@@ -106,7 +116,7 @@ TEST(FingerprintTopology, ShippedMachineFilesMatchTheirBuilders) {
     const MachineConfig from_file =
         MachineConfig::from_machine_file(read_file(profile.machine_file));
     const MachineConfig built = profile.make();
-    EXPECT_TRUE(from_file.resolved_topology() == built.resolved_topology())
+    EXPECT_TRUE(from_file.topology == built.topology)
         << profile.machine_file << " drifted from the " << profile.name
         << " builder — regenerate it from MemoryTopology::to_machine_file()";
     // Note: fingerprints may legitimately differ (xeon_max's builder also

@@ -11,21 +11,22 @@ namespace {
 TEST(MachinePresets, Knl7210IsTheDefault) {
   const MachineConfig def;
   const MachineConfig knl = MachineConfig::knl7210();
-  EXPECT_EQ(def.timing.ddr.capacity_bytes, knl.timing.ddr.capacity_bytes);
-  EXPECT_EQ(def.timing.hbm.idle_latency_ns, knl.timing.hbm.idle_latency_ns);
+  EXPECT_EQ(def.dram_tier().capacity_bytes, knl.dram_tier().capacity_bytes);
+  EXPECT_EQ(def.fast_tier().idle_latency_ns, knl.fast_tier().idle_latency_ns);
+  EXPECT_TRUE(def.topology == sim::MemoryTopology::knl7210());
 }
 
 TEST(MachinePresets, EqualLatencyOnlyChangesHbmLatency) {
   const MachineConfig base = MachineConfig::knl7210();
   const MachineConfig equal = MachineConfig::knl7210_equal_latency();
-  EXPECT_EQ(equal.timing.hbm.idle_latency_ns, base.timing.ddr.idle_latency_ns);
-  EXPECT_EQ(equal.timing.hbm.stream_bw_gbs, base.timing.hbm.stream_bw_gbs);
-  EXPECT_EQ(equal.timing.hbm.capacity_bytes, base.timing.hbm.capacity_bytes);
+  EXPECT_EQ(equal.fast_tier().idle_latency_ns, base.dram_tier().idle_latency_ns);
+  EXPECT_EQ(equal.fast_tier().stream_bw_gbs, base.fast_tier().stream_bw_gbs);
+  EXPECT_EQ(equal.fast_tier().capacity_bytes, base.fast_tier().capacity_bytes);
 }
 
 TEST(MachinePresets, DdrOnlyShrinksHbmToASliver) {
   const MachineConfig ddr_only = MachineConfig::ddr_only();
-  EXPECT_LE(ddr_only.timing.hbm.capacity_bytes, params::kPageBytes);
+  EXPECT_LE(ddr_only.fast_tier().capacity_bytes, params::kPageBytes);
   EXPECT_NO_THROW(Machine{ddr_only});
 }
 
@@ -48,7 +49,7 @@ TEST(MachineDescribe, StableAcrossCalls) {
 
 TEST(MachineDescribe, ReflectsCustomConfig) {
   MachineConfig cfg;
-  cfg.timing.ddr.capacity_bytes = 48 * GiB;
+  cfg.dram_tier().capacity_bytes = 48 * GiB;
   Machine machine(cfg);
   EXPECT_NE(machine.describe().find("48 GiB"), std::string::npos);
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fault/error.hpp"
 #include "workloads/gups.hpp"
 #include "workloads/minife.hpp"
 #include "workloads/stream.hpp"
@@ -140,11 +141,15 @@ TEST(Machine, InvalidRunConfigThrows) {
                std::invalid_argument);
 }
 
-TEST(Machine, ConfigValidationRejectsInconsistentViews) {
+TEST(Machine, ConfigValidationRejectsABadTierEnvelope) {
   MachineConfig cfg;
-  cfg.apply_topology(sim::MemoryTopology::knl7210());
-  cfg.timing.hbm.capacity_bytes = 8 * GiB;  // declared MCDRAM tier still 16 GiB
-  EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+  cfg.fast_tier().peak_bw_gbs = 0.0;
+  try {
+    (void)Machine{cfg};
+    FAIL() << "a zero-bandwidth tier must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), "topology/bad-envelope");
+  }
 }
 
 TEST(Machine, DdrOnlyMachineRejectsHbmRuns) {

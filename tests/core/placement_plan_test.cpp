@@ -116,7 +116,7 @@ TEST_F(PlacerFixture, MiniFeBeyondMcdramRecoversMostOfHbmBenefit) {
   ASSERT_TRUE(outcome.result.feasible);
   EXPECT_LT(outcome.result.seconds, dram.seconds / 1.8);
   EXPECT_LT(outcome.result.seconds, cache.seconds / 1.5);
-  EXPECT_LE(outcome.hbm_bytes, machine.config().timing.hbm.capacity_bytes);
+  EXPECT_LE(outcome.hbm_bytes, machine.config().fast_tier().capacity_bytes);
 }
 
 TEST_F(PlacerFixture, XsBenchOptimizerLeavesDataInDdr) {

@@ -94,7 +94,8 @@ std::vector<trace::AccessProfile> registry_profiles() {
 /// capacity edge of `cfg`.
 std::vector<trace::AccessProfile> edge_profiles(const MachineConfig& cfg) {
   std::vector<trace::AccessProfile> profiles;
-  for (const std::uint64_t cap : {cfg.timing.hbm.capacity_bytes, cfg.timing.ddr.capacity_bytes}) {
+  for (const std::uint64_t cap :
+       {cfg.fast_tier().capacity_bytes, cfg.dram_tier().capacity_bytes}) {
     for (const std::uint64_t resident : {cap, cap + 1}) {
       trace::AccessProfile p("edge");
       trace::AccessPhase phase;

@@ -38,17 +38,6 @@ TEST(FigureJson, EmptyFigure) {
                          "\"series\":[]}");
 }
 
-TEST(FigureGnuplot, ContainsDataBlocksAndPlotLine) {
-  const std::string script = sample().to_gnuplot();
-  EXPECT_NE(script.find("set xlabel \"Size (GB)\""), std::string::npos);
-  EXPECT_NE(script.find("$d0 << EOD"), std::string::npos);
-  EXPECT_NE(script.find("$d1 << EOD"), std::string::npos);
-  EXPECT_NE(script.find("2 330"), std::string::npos);
-  EXPECT_NE(script.find("plot $d0 using 1:2 with linespoints title \"DRAM\", "
-                        "$d1 using 1:2 with linespoints title \"HBM\""),
-            std::string::npos);
-}
-
 TEST(MachineModelCard, ListsCalibratedAnchors) {
   Machine machine;
   const std::string card = machine.describe();

@@ -187,7 +187,7 @@ TEST(ParallelSweep, MachineFingerprintTracksParameters) {
   EXPECT_EQ(base.fingerprint(), MachineConfig::knl7210().fingerprint());
 
   MachineConfig faster = MachineConfig::knl7210();
-  faster.timing.hbm.stream_bw_gbs += 1.0;
+  faster.fast_tier().stream_bw_gbs += 1.0;
   EXPECT_NE(base.fingerprint(), faster.fingerprint());
 
   MachineConfig more_cores = MachineConfig::knl7210();

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace knl::report {
 namespace {
+
+void expect_all_hold(const std::vector<SensitivityRow>& rows) {
+  for (const SensitivityRow& row : rows) {
+    EXPECT_TRUE(row.holds) << row.parameter << " " << row.delta;
+  }
+}
 
 TEST(Sensitivity, SweepShapeAndDeterminism) {
   const auto rows = sensitivity_sweep(MachineConfig::knl7210(),
@@ -26,14 +34,14 @@ TEST(Sensitivity, GupsConclusionRobustToTenPercent) {
   const auto rows = sensitivity_sweep(MachineConfig::knl7210(),
                                       standard_perturbations(), {-0.10, 0.10},
                                       conclusions::gups_prefers_dram());
-  EXPECT_TRUE(all_hold(rows));
+  expect_all_hold(rows);
 }
 
 TEST(Sensitivity, MiniFeSpeedupRobustToTenPercent) {
   const auto rows = sensitivity_sweep(MachineConfig::knl7210(),
                                       standard_perturbations(), {-0.10, 0.10},
                                       conclusions::minife_hbm_speedup_at_least(2.5));
-  EXPECT_TRUE(all_hold(rows));
+  expect_all_hold(rows);
 }
 
 TEST(Sensitivity, XsBenchCrossoverRobustToFivePercent) {
@@ -43,7 +51,7 @@ TEST(Sensitivity, XsBenchCrossoverRobustToFivePercent) {
   const auto rows = sensitivity_sweep(MachineConfig::knl7210(),
                                       standard_perturbations(), {-0.05, 0.05},
                                       conclusions::xsbench_crossover_at_256());
-  EXPECT_TRUE(all_hold(rows));
+  expect_all_hold(rows);
 }
 
 TEST(Sensitivity, LargeEnoughPerturbationBreaksConclusions) {
@@ -51,10 +59,29 @@ TEST(Sensitivity, LargeEnoughPerturbationBreaksConclusions) {
   // below DDR's must flip the GUPS conclusion.
   const std::vector<NamedPerturbation> only_latency{
       {"hbm_latency",
-       [](MachineConfig& cfg, double d) { cfg.timing.hbm.idle_latency_ns *= 1.0 + d; }}};
+       [](MachineConfig& cfg, double d) { cfg.fast_tier().idle_latency_ns *= 1.0 + d; }}};
   const auto rows = sensitivity_sweep(MachineConfig::knl7210(), only_latency, {-0.5},
                                       conclusions::gups_prefers_dram());
-  EXPECT_FALSE(all_hold(rows));
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                          [](const SensitivityRow& row) { return !row.holds; }));
+}
+
+TEST(Sensitivity, EveryPerturbationRunsOnMultiTierProfiles) {
+  // Each perturbation edits the machine's one topology, so it applies to
+  // every profile — and must actually change the machine it perturbs.
+  for (const MachineConfig& base : {MachineConfig::xeon_max(), MachineConfig::knl_nvm()}) {
+    std::vector<SensitivityRow> rows;
+    EXPECT_NO_THROW(rows = sensitivity_sweep(base, standard_perturbations(), {-0.1, 0.1},
+                                             conclusions::gups_prefers_dram()))
+        << base.topology.name;
+    EXPECT_EQ(rows.size(), standard_perturbations().size() * 2);
+    for (const NamedPerturbation& perturbation : standard_perturbations()) {
+      MachineConfig cfg = base;
+      perturbation.apply(cfg, 0.1);
+      EXPECT_NE(cfg.fingerprint(), base.fingerprint())
+          << base.topology.name << " " << perturbation.name;
+    }
+  }
 }
 
 TEST(Sensitivity, NullConclusionThrows) {

@@ -27,15 +27,6 @@ TEST(TextTable, EmptyHeadersRejected) {
   EXPECT_THROW((void)TextTable({}), std::invalid_argument);
 }
 
-TEST(TextTable, MarkdownShape) {
-  TextTable t({"h1", "h2"});
-  t.add_row({"x", "y"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| h1 | h2 |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-}
-
 TEST(TextTable, CsvShape) {
   TextTable t({"h1", "h2"});
   t.add_row({"x", "y"});

@@ -31,7 +31,7 @@ TEST(AblationShape, HybridPartitionMonotoneBetweenExtremes) {
   Machine machine;
   const auto minife = workloads::MiniFe::from_footprint(24ull * 1000 * 1000 * 1000);
   const auto profile = minife.profile();
-  const std::uint64_t hbm_cap = machine.config().timing.hbm.capacity_bytes;
+  const std::uint64_t hbm_cap = machine.config().fast_tier().capacity_bytes;
   double prev = 0.0;
   for (const double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     const auto flat_bytes = static_cast<std::uint64_t>(
@@ -55,7 +55,7 @@ TEST(AblationShape, HybridBeatsBothPureCoarseConfigsMidRange) {
   Machine machine;
   const auto minife = workloads::MiniFe::from_footprint(24ull * 1000 * 1000 * 1000);
   const auto profile = minife.profile();
-  const std::uint64_t hbm_cap = machine.config().timing.hbm.capacity_bytes;
+  const std::uint64_t hbm_cap = machine.config().fast_tier().capacity_bytes;
   const RunResult hybrid = machine.run_hybrid(profile, 64, 0.0, hbm_cap);
   const RunResult dram = machine.run(profile, {MemConfig::DRAM, 64});
   const RunResult cache = machine.run(profile, {MemConfig::CacheMode, 64});

@@ -1,12 +1,14 @@
-// Golden-equivalence regression: the declared-topology path is a drop-in
-// replacement for the compiled-in hierarchy. A machine whose config
-// *declares* the canonical two-tier KNL topology (rather than deriving it)
-// must reproduce every checked-in golden artifact with zero drift — same
-// fingerprint, same manifest, same metrics. This is the test that lets the
-// topology subsystem evolve without ever re-blessing the KNL corpus.
+// Golden-equivalence regression: the machine-file path is a drop-in
+// replacement for the compiled-in hierarchy. A machine built from
+// machines/knl7210.machine must reproduce every checked-in golden artifact
+// with zero drift — same fingerprint, same manifest, same metrics. This is
+// the test that lets the topology subsystem evolve without ever
+// re-blessing the KNL corpus.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -15,7 +17,6 @@
 #include "repro/experiment.hpp"
 #include "repro/golden_diff.hpp"
 #include "repro/pipeline.hpp"
-#include "sim/topology.hpp"
 
 #ifndef KNLMEM_GOLDEN_DIR
 #error "build must define KNLMEM_GOLDEN_DIR (see tests/CMakeLists.txt)"
@@ -25,10 +26,13 @@ namespace knl::repro {
 namespace {
 
 TEST(GoldenTopologyEquivalence, DeclaredKnlTopologyReproducesEveryGolden) {
-  MachineConfig config = MachineConfig::knl7210();
-  config.apply_topology(sim::MemoryTopology::knl7210());
-  const Machine machine(config);
-  ASSERT_TRUE(machine.config().has_declared_topology());
+  const std::filesystem::path file =
+      std::filesystem::path(KNLMEM_GOLDEN_DIR).parent_path() / "machines/knl7210.machine";
+  std::ifstream in(file, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot open " << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Machine machine(MachineConfig::from_machine_file(text.str()));
 
   const Pipeline pipeline(machine);
   std::vector<const ExperimentSpec*> specs;

@@ -30,7 +30,7 @@ TEST_P(WorkloadSweep, MetricPositiveAndLatencyPhysical) {
         // Only HBM may be infeasible, and only when the footprint exceeds it.
         EXPECT_EQ(config, MemConfig::HBM);
         EXPECT_GT(profile.resident_bytes(),
-                  machine.config().timing.hbm.capacity_bytes);
+                  machine.config().fast_tier().capacity_bytes);
         continue;
       }
       EXPECT_GT(w->metric(r), 0.0) << name << " " << to_string(config);
@@ -65,14 +65,14 @@ TEST_P(WorkloadSweep, BandwidthNeverExceedsNodeEnvelope) {
   const auto& [name, bytes] = GetParam();
   const auto w = workloads::find_workload(name).make(bytes);
   const auto profile = w->profile();
-  const double hbm_cap = machine.config().timing.hbm.stream_bw_gbs;
+  const double hbm_cap = machine.config().fast_tier().stream_bw_gbs;
   for (const MemConfig config :
        {MemConfig::DRAM, MemConfig::HBM, MemConfig::CacheMode}) {
     for (const int threads : {64, 256}) {
       const RunResult r = machine.run(profile, RunConfig{config, threads});
       if (!r.feasible) continue;
       const double cap = config == MemConfig::DRAM
-                             ? machine.config().timing.ddr.stream_bw_gbs
+                             ? machine.config().dram_tier().stream_bw_gbs
                              : hbm_cap;
       EXPECT_LE(r.achieved_bw_gbs, cap * 1.001) << name << " " << to_string(config);
     }

@@ -22,6 +22,8 @@ namespace {
 
 using repro::json::Value;
 
+constexpr std::size_t kReadCap = std::size_t{1} << 20;
+
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -92,7 +94,7 @@ TEST_F(RecoveryTest, TamperedSnapshotIsRejected) {
   ASSERT_TRUE(save_cache_snapshot(path, &error)) << error;
 
   // Flip one payload byte past the digest header line.
-  auto text = io::read_text_file(path, &error);
+  auto text = io::read_text_file(path, kReadCap, &error);
   ASSERT_TRUE(text.has_value()) << error;
   const std::size_t payload_at = text->find('\n') + 1;
   ASSERT_LT(payload_at, text->size());
@@ -114,7 +116,7 @@ TEST_F(RecoveryTest, TruncatedSnapshotIsRejected) {
   std::string error;
   ASSERT_TRUE(save_cache_snapshot(path, &error)) << error;
 
-  auto text = io::read_text_file(path, &error);
+  auto text = io::read_text_file(path, kReadCap, &error);
   ASSERT_TRUE(text.has_value()) << error;
   { std::ofstream(path, std::ios::trunc) << text->substr(0, text->size() - 8); }
 
@@ -229,7 +231,7 @@ TEST_F(RecoveryTest, ServiceJournalsAdmittedPostsAndEndsThem) {
   EXPECT_TRUE(RequestJournal::pending(path).empty());
   // But the begin record is on disk — the file is non-trivial.
   std::string error;
-  const auto text = io::read_text_file(path, &error);
+  const auto text = io::read_text_file(path, kReadCap, &error);
   ASSERT_TRUE(text.has_value()) << error;
   EXPECT_NE(text->find("\"op\": \"begin\""), std::string::npos);
   EXPECT_NE(text->find("\"op\": \"end\""), std::string::npos);

@@ -68,8 +68,8 @@ TEST(TimingModel, RandomLatencyGapMatchesPaper) {
   // Paper SIV-A: accessing HBM is ~18% slower (15-20% band in Fig. 3).
   TimingModel model;
   const auto phase = random_phase(64 * MiB);
-  const double d = model.effective_latency_ns(phase, model.config().ddr, 64, 0.0);
-  const double h = model.effective_latency_ns(phase, model.config().hbm, 64, 0.0);
+  const double d = model.effective_latency_ns(phase, params::kDdr, params::kDdr, 0.0);
+  const double h = model.effective_latency_ns(phase, params::kHbm, params::kDdr, 0.0);
   EXPECT_GT((h - d) / d, 0.10);
   EXPECT_LT((h - d) / d, 0.25);
 }
@@ -97,7 +97,7 @@ TEST(TimingModel, ThroughputNeverExceedsNodeCap) {
   for (const int threads : {64, 128, 192, 256}) {
     const auto t =
         time_knl(model, stream_phase(4 * GiB), RunConfig{MemConfig::DRAM, threads}, 0.0);
-    EXPECT_LE(t.achieved_bw_gbs, model.config().ddr.stream_bw_gbs * 1.001);
+    EXPECT_LE(t.achieved_bw_gbs, params::kDdr.stream_bw_gbs * 1.001);
   }
 }
 

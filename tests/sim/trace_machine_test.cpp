@@ -163,7 +163,7 @@ TEST(TraceMachine, AnalyticModelTracksReplayOnDependentRandom) {
   phase.logical_bytes = static_cast<double>(footprint);
   phase.granule_bytes = 8;
   const double modelled =
-      analytic.effective_latency_ns(phase, params::kDdr, 1, 0.0);
+      analytic.effective_latency_ns(phase, params::kDdr, params::kDdr, 0.0);
   EXPECT_NEAR(replayed, modelled, modelled * 0.25);
 }
 

@@ -45,18 +45,6 @@ TEST(Registry, AllWorkloadsVerify) {
   }
 }
 
-TEST(Registry, TableOneStringListsApplications) {
-  const std::string t = table1_string();
-  for (const char* name : {"DGEMM", "MiniFE", "GUPS", "Graph500", "XSBench"}) {
-    EXPECT_NE(t.find(name), std::string::npos) << name;
-  }
-  // Micro-benchmarks excluded, as in the paper's Table I.
-  EXPECT_EQ(t.find("STREAM"), std::string::npos);
-  // Max scales as published.
-  EXPECT_NE(t.find("90 GB"), std::string::npos);
-  EXPECT_NE(t.find("35 GB"), std::string::npos);
-}
-
 TEST(Registry, ProfilesAreNonEmptyAtPaperScales) {
   for (const auto& entry : registry()) {
     const auto w = entry.make(entry.info.max_scale_bytes);
