@@ -39,14 +39,21 @@ void mix_node(std::uint64_t& h, const params::NodeParams& node) {
 
 // The canonical two-tier KNL shape built from `fast` and `dram`: MCDRAM
 // spans the 8 EDC controllers and can front DDR as a cache; DDR4 spans the
-// 6 DDR channels. With default envelopes this is exactly knl7210().
+// 6 DDR channels. With default envelopes this is exactly knl7210(). Runs on
+// every fingerprint(), so it compares against one shape built once.
 bool is_canonical_knl(const sim::MemoryTopology& topology,
                       const params::NodeParams& fast, const params::NodeParams& dram) {
-  if (topology.tier_count() != 2) return false;
-  sim::MemoryTopology canonical = sim::MemoryTopology::knl7210();
-  canonical.tiers[0].params = fast;
-  canonical.tiers[1].params = dram;
-  return topology == canonical;
+  static const sim::MemoryTopology canonical = sim::MemoryTopology::knl7210();
+  if (topology.tier_count() != 2 || topology.name != canonical.name) return false;
+  const auto same_shape = [](const sim::MemoryTier& a, const sim::MemoryTier& b) {
+    return a.name == b.name && a.kind == b.kind &&
+           a.controllers_begin == b.controllers_begin &&
+           a.controllers_end == b.controllers_end && a.backing == b.backing &&
+           a.cache_front == b.cache_front;
+  };
+  return same_shape(topology.tiers[0], canonical.tiers[0]) &&
+         same_shape(topology.tiers[1], canonical.tiers[1]) &&
+         topology.tiers[0].params == fast && topology.tiers[1].params == dram;
 }
 
 // A KNL-base config declaring `topology`; a cache-capable fast tier also

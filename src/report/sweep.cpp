@@ -9,6 +9,7 @@
 #include <future>
 #include <type_traits>
 
+#include "core/fault/atomic_io.hpp"
 #include "core/thread_pool.hpp"
 #include "sim/mcdram_cache.hpp"
 #include "sim/reuse_profile.hpp"
@@ -511,7 +512,7 @@ std::string cache_header() {
 
 std::string SweepCache::serialize() const {
   std::string out = cache_header() + "\n";
-  char line[1024];
+  char line[kMaxSerializedLineBytes];
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     for (const Entry& entry : shard.lru) {
@@ -533,6 +534,10 @@ std::string SweepCache::serialize() const {
   return out;
 }
 
+std::size_t SweepCache::max_serialized_bytes() const {
+  return cache_header().size() + 1 + capacity() * kMaxSerializedLineBytes;
+}
+
 bool SweepCache::save(const std::string& path) const {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
@@ -552,7 +557,7 @@ bool SweepCache::deserialize(const std::string& text) {
     return false;
   }
   std::size_t pos = text.find('\n');
-  char line[1024];
+  char line[kMaxSerializedLineBytes];
   while (pos != std::string::npos && pos + 1 < text.size()) {
     const std::size_t start = pos + 1;
     std::size_t end = text.find('\n', start);
@@ -587,16 +592,8 @@ bool SweepCache::deserialize(const std::string& text) {
 }
 
 bool SweepCache::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return false;
-  std::string text;
-  char chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    text.append(chunk, got);
-  }
-  std::fclose(file);
-  return deserialize(text);
+  const auto text = io::read_text_file(path, max_serialized_bytes(), nullptr);
+  return text.has_value() && deserialize(*text);
 }
 
 // ---------------------------------------------------------------------------

@@ -275,8 +275,9 @@ class SweepCache {
   void reset_stats();
 
   /// Merge entries from `path` (written by save). Returns false when the
-  /// file is absent, malformed, or written under a different
-  /// machine-profile schema version — all benign cold-cache starts.
+  /// file is absent, longer than max_serialized_bytes(), malformed, or
+  /// written under a different machine-profile schema version — all benign
+  /// cold-cache starts.
   bool load(const std::string& path);
   /// Write every entry to `path`, replacing it. Returns false on I/O error.
   [[nodiscard]] bool save(const std::string& path) const;
@@ -284,6 +285,10 @@ class SweepCache {
   /// The save() file rendered as a string (header + one line per entry, in
   /// shard/LRU order) — the payload snapshots wrap with a digest line.
   [[nodiscard]] std::string serialize() const;
+  /// serialize()'s line buffer: an entry whose line would not fit is left out.
+  static constexpr std::size_t kMaxSerializedLineBytes = 1024;
+  /// Upper bound on serialize()'s size at the current capacity.
+  [[nodiscard]] std::size_t max_serialized_bytes() const;
   /// Merge entries from a serialize() payload. Returns false when the
   /// header is missing or from another machine-profile schema version.
   bool deserialize(const std::string& text);

@@ -3,7 +3,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <map>
+#include <filesystem>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/fault/atomic_io.hpp"
@@ -13,16 +14,6 @@
 namespace knl::service {
 
 using repro::json::Value;
-
-namespace {
-
-// Read cap for the snapshot and the journal: a longer file reads as absent
-// (the snapshot as Missing, the journal as empty) instead of exhausting
-// memory. A snapshot at the default cache bound is about 10 MiB; the journal
-// grows by a few hundred bytes per request until the next start truncates it.
-constexpr std::size_t kMaxRecoveryFileBytes = std::size_t{256} << 20;
-
-}  // namespace
 
 const char* to_string(SnapshotLoad result) {
   switch (result) {
@@ -49,10 +40,14 @@ bool save_cache_snapshot(const std::string& path, std::string* error) {
 }
 
 SnapshotLoad load_cache_snapshot(const std::string& path, std::string* detail) {
+  // The cap follows the cache capacity: a snapshot written under a larger
+  // one reads as Missing, with the reason in *detail.
+  const std::size_t max_bytes = std::strlen(kSnapshotHeaderPrefix) + 17 +
+                                report::SweepCache::instance().max_serialized_bytes();
   std::string error;
-  const auto text = io::read_file_with_retry(path, kMaxRecoveryFileBytes, &error);
+  const auto text = io::read_file_with_retry(path, max_bytes, &error);
   if (!text.has_value()) {
-    if (detail != nullptr) *detail = "no snapshot at " + path + " (" + error + ")";
+    if (detail != nullptr) *detail = "no snapshot loaded from " + path + " (" + error + ")";
     return SnapshotLoad::Missing;
   }
   const std::size_t prefix_len = std::strlen(kSnapshotHeaderPrefix);
@@ -92,13 +87,20 @@ SnapshotLoad load_cache_snapshot(const std::string& path, std::string* detail) {
 // ---------------------------------------------------------------------------
 RequestJournal::~RequestJournal() { close(); }
 
-bool RequestJournal::open(const std::string& path, bool truncate) {
+bool RequestJournal::open(const std::string& path) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
   }
-  file_ = std::fopen(path.c_str(), truncate ? "w" : "a");
+  file_ = std::fopen(path.c_str(), "w");
+  path_ = path;
+  struct stat info {};
+  compactable_ = file_ != nullptr && ::fstat(::fileno(file_), &info) == 0 &&
+                 S_ISREG(info.st_mode);
+  file_bytes_ = 0;
+  open_records_.clear();
+  open_bytes_ = 0;
   first_error_.clear();
   return file_ != nullptr;
 }
@@ -129,7 +131,16 @@ std::uint64_t RequestJournal::begin(const std::string& method,
   record.set("target", target);
   record.set("digest", io::fnv1a_hex(body));
   record.set("body", body);
-  return append(record.dump(0) + "\n") ? seq : 0;
+  std::string line = record.dump(0) + "\n";
+  if (open_bytes_ + line.size() > kMaxOpenBytes) {
+    note_error("journal full: open records exceed " + std::to_string(kMaxOpenBytes) +
+               " bytes");
+    return 0;
+  }
+  if (!append(line)) return 0;
+  open_bytes_ += line.size();
+  open_records_.emplace(seq, std::move(line));
+  return seq;
 }
 
 void RequestJournal::end(std::uint64_t seq) {
@@ -140,6 +151,34 @@ void RequestJournal::end(std::uint64_t seq) {
   record.set("seq", static_cast<double>(seq));
   record.set("op", "end");
   (void)append(record.dump(0) + "\n");
+  const auto open = open_records_.find(seq);
+  if (open != open_records_.end()) {
+    open_bytes_ -= open->second.size();
+    open_records_.erase(open);
+  }
+  maybe_compact();
+}
+
+void RequestJournal::maybe_compact() {
+  if (!compactable_ || file_bytes_ <= kCompactSlackBytes + 2 * open_bytes_) return;
+  std::string text;
+  for (const auto& [seq, line] : open_records_) text += line;
+  // tmp + fsync + rename: a crash leaves either the old journal or the
+  // compacted one, and both name the same open requests.
+  std::string error;
+  if (io::atomic_write_file(path_, text, &error)) {
+    std::fclose(file_);
+    file_ = std::fopen(path_.c_str(), "a");
+    if (file_ == nullptr) error = std::string("reopen: ") + std::strerror(errno);
+  }
+  file_bytes_ = text.size();
+  if (error.empty()) return;
+  compactable_ = false;  // the journal stays correct, only unbounded
+  note_error("journal compaction failed: " + error);
+}
+
+void RequestJournal::note_error(std::string error) {
+  if (first_error_.empty()) first_error_ = std::move(error);
 }
 
 bool RequestJournal::append(const std::string& line) {
@@ -151,11 +190,12 @@ bool RequestJournal::append(const std::string& line) {
   } else if (::fsync(::fileno(file_)) != 0) {
     failed = "fsync";
   }
-  if (failed == nullptr) return true;
-  const int error = errno;
-  if (first_error_.empty()) {
-    first_error_ = std::string("journal ") + failed + " failed: " + std::strerror(error);
+  if (failed == nullptr) {
+    file_bytes_ += line.size();
+    return true;
   }
+  const int error = errno;
+  note_error(std::string("journal ") + failed + " failed: " + std::strerror(error));
   std::clearerr(file_);
   return false;
 }
@@ -165,11 +205,17 @@ std::string RequestJournal::first_error() const {
   return first_error_;
 }
 
-std::vector<PendingRequest> RequestJournal::pending(const std::string& path) {
+std::vector<PendingRequest> RequestJournal::pending(const std::string& path,
+                                                    std::size_t max_bytes,
+                                                    std::string* error) {
   std::vector<PendingRequest> out;
-  std::string error;
-  const auto text = io::read_text_file(path, kMaxRecoveryFileBytes, &error);
-  if (!text.has_value()) return out;
+  std::string read_error;
+  const auto text = io::read_text_file(path, max_bytes, &read_error);
+  if (!text.has_value()) {
+    std::error_code ec;
+    if (error != nullptr && std::filesystem::exists(path, ec)) *error = read_error;
+    return out;
+  }
 
   std::map<std::uint64_t, PendingRequest> open_requests;
   std::size_t pos = 0;

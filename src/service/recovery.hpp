@@ -30,6 +30,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -70,17 +71,25 @@ struct PendingRequest {
 /// Append-only JSONL log of admitted requests. Thread-safe; every line is
 /// flushed and fsynced so the journal survives the same kill the snapshot
 /// does.
+/// A regular file is rewritten to its open (begun, unended) records once it
+/// outgrows kCompactSlackBytes plus twice their size; with open records
+/// capped at kMaxOpenBytes, the file stays under kMaxBytes, pending()'s cap.
 class RequestJournal {
  public:
+  static constexpr std::size_t kMaxBytes = std::size_t{256} << 20;
+  static constexpr std::size_t kCompactSlackBytes = std::size_t{4} << 20;
+  static constexpr std::size_t kMaxOpenBytes = std::size_t{64} << 20;
+  static_assert(kCompactSlackBytes + 2 * kMaxOpenBytes + 4096 <= kMaxBytes);
+
   RequestJournal() = default;
   ~RequestJournal();
 
   RequestJournal(const RequestJournal&) = delete;
   RequestJournal& operator=(const RequestJournal&) = delete;
 
-  /// Open for appending (`truncate` starts fresh — the post-replay reset).
-  /// Returns false on IO failure.
-  [[nodiscard]] bool open(const std::string& path, bool truncate = false);
+  /// Start a fresh journal at `path` (the post-replay reset). Returns false
+  /// on IO failure.
+  [[nodiscard]] bool open(const std::string& path);
   void close();
   [[nodiscard]] bool is_open() const;
 
@@ -93,22 +102,33 @@ class RequestJournal {
   /// longer in flight).
   void end(std::uint64_t seq);
 
-  /// The first write failure since open(), or empty if every record so far
-  /// reached the disk.
+  /// The first failure since open() (a write, a full journal, a compaction).
   [[nodiscard]] std::string first_error() const;
 
-  /// Parse `path` and return every begin without a matching end, in
-  /// sequence order. Records with a wrong body digest (torn writes) and
-  /// unparsable lines are skipped.
-  [[nodiscard]] static std::vector<PendingRequest> pending(const std::string& path);
+  /// Parse `path` (up to `max_bytes`) and return every begin without a
+  /// matching end, in sequence order. Records with a wrong body digest (torn
+  /// writes) and unparsable lines are skipped. An unreadable or over-cap
+  /// journal sets *error; a missing one (first boot) does not.
+  [[nodiscard]] static std::vector<PendingRequest> pending(const std::string& path,
+                                                           std::size_t max_bytes,
+                                                           std::string* error);
 
  private:
   /// Write, flush and fsync one record; false (noting first_error_) on
   /// failure. Requires mutex_.
   bool append(const std::string& line);
+  /// Rewrite the file to its open records if over the bound. Requires mutex_.
+  void maybe_compact();
+  void note_error(std::string error);
 
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
+  std::string path_;
+  /// Only a regular file is rewritten, never a device or FIFO.
+  bool compactable_ = false;
+  std::size_t file_bytes_ = 0;
+  std::map<std::uint64_t, std::string> open_records_;
+  std::size_t open_bytes_ = 0;
   std::uint64_t next_seq_ = 1;
   std::string first_error_;
 };

@@ -324,12 +324,6 @@ std::uint64_t ReuseProfile::hits_for_capacity(std::uint64_t capacity_bytes) cons
   return hits_for_ways(capacity_bytes / (config_.line_bytes * config_.num_sets));
 }
 
-double ReuseProfile::hit_rate_for_capacity(std::uint64_t capacity_bytes) const {
-  if (sampled_ == 0) return 0.0;
-  return static_cast<double>(hits_for_capacity(capacity_bytes)) /
-         static_cast<double>(sampled_);
-}
-
 void ReuseProfile::merge(const ReuseProfile& other) {
   if (other.config_.line_bytes != config_.line_bytes ||
       other.config_.num_sets != config_.num_sets ||

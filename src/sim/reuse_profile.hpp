@@ -100,8 +100,6 @@ class ReuseProfile {
   [[nodiscard]] std::uint64_t hits_for_ways(std::uint64_t ways) const;
   /// hits_for_ways(capacity / (line_bytes * num_sets)).
   [[nodiscard]] std::uint64_t hits_for_capacity(std::uint64_t capacity_bytes) const;
-  /// hits_for_capacity / sampled (0 when nothing was sampled).
-  [[nodiscard]] double hit_rate_for_capacity(std::uint64_t capacity_bytes) const;
 
   /// Fuse another shard's counters into this profile. Requires identical
   /// geometry (line/sets/sampling/depth); shard fields may differ — that is

@@ -276,12 +276,6 @@ int MemoryTopology::cache_front_of(int backing_tier) const {
   return -1;
 }
 
-std::uint64_t MemoryTopology::total_capacity_bytes() const {
-  std::uint64_t total = 0;
-  for (const MemoryTier& t : tiers) total += t.params.capacity_bytes;
-  return total;
-}
-
 std::string MemoryTopology::tier_names() const {
   std::string names;
   for (const MemoryTier& t : tiers) {

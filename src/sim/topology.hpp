@@ -125,8 +125,6 @@ class MemoryTopology {
   /// The tier fronting `backing_tier` as a hardware cache; -1 when none.
   [[nodiscard]] int cache_front_of(int backing_tier) const;
 
-  [[nodiscard]] std::uint64_t total_capacity_bytes() const;
-
   /// Comma-joined tier names, fast first ("MCDRAM,DDR4,NVM") — the compact
   /// spelling /stats and reports use.
   [[nodiscard]] std::string tier_names() const;

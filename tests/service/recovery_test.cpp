@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,10 +31,22 @@ class RecoveryTest : public ::testing::Test {
     report::SweepCache::instance().clear();
     report::SweepCache::instance().reset_stats();
   }
-  void TearDown() override { report::SweepCache::instance().clear(); }
+  void TearDown() override {
+    report::SweepCache::instance().clear();
+    report::SweepCache::instance().set_capacity(report::SweepCache::kDefaultCapacity);
+  }
 
   static std::string temp_path(const std::string& name) {
     return ::testing::TempDir() + "knl_recovery_" + name;
+  }
+
+  /// The open requests of the journal at `path`, failing the test on a
+  /// read error.
+  static std::vector<PendingRequest> pending_in(const std::string& path) {
+    std::string error;
+    auto pending = RequestJournal::pending(path, RequestJournal::kMaxBytes, &error);
+    EXPECT_TRUE(error.empty()) << error;
+    return pending;
   }
 
   /// Warm the process-wide cache with one deterministic /whatif entry.
@@ -145,10 +158,42 @@ TEST_F(RecoveryTest, WrongSchemaPassesDigestButIsRejectedAsSchemaMismatch) {
   EXPECT_NE(detail.find("schema"), std::string::npos) << detail;
 }
 
+TEST_F(RecoveryTest, SnapshotAtFullCapacityWithLongestLinesLoads) {
+  // The snapshot read cap follows the cache capacity: a full cache whose
+  // every line is near the serialize() line limit still loads.
+  report::SweepCache& cache = report::SweepCache::instance();
+  cache.set_capacity(64);
+  RunResult result;
+  result.feasible = false;
+  result.seconds = -1.0e308;
+  result.infeasible_reason = std::string(800, 'r');
+  for (std::uint64_t i = 0; i < 4 * cache.capacity(); ++i) {
+    cache.store(report::SweepKey{.profile_hash = i, .machine_hash = ~i}, result);
+  }
+  ASSERT_EQ(cache.size(), cache.capacity());
+  const std::string path = temp_path("full.snap");
+  std::string error;
+  ASSERT_TRUE(save_cache_snapshot(path, &error)) << error;
+  ASSERT_GT(std::filesystem::file_size(path), cache.capacity() * 900);
+
+  cache.clear();
+  std::string detail;
+  EXPECT_EQ(load_cache_snapshot(path, &detail), SnapshotLoad::Recovered) << detail;
+  EXPECT_EQ(cache.size(), cache.capacity());
+
+  // Under a smaller capacity the same file is over the cap: a cold start
+  // that names the reason.
+  cache.clear();
+  cache.set_capacity(16);
+  EXPECT_EQ(load_cache_snapshot(path, &detail), SnapshotLoad::Missing);
+  EXPECT_NE(detail.find("exceeds"), std::string::npos) << detail;
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST_F(RecoveryTest, JournalReturnsOnlyBeginsWithoutEnds) {
   const std::string path = temp_path("journal.jsonl");
   RequestJournal journal;
-  ASSERT_TRUE(journal.open(path, /*truncate=*/true));
+  ASSERT_TRUE(journal.open(path));
   const std::uint64_t finished =
       journal.begin("POST", "/whatif", R"({"workload": "STREAM"})");
   const std::uint64_t in_flight =
@@ -158,7 +203,7 @@ TEST_F(RecoveryTest, JournalReturnsOnlyBeginsWithoutEnds) {
   journal.end(finished);
   journal.close();
 
-  const auto pending = RequestJournal::pending(path);
+  const auto pending = pending_in(path);
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].seq, in_flight);
   EXPECT_EQ(pending[0].method, "POST");
@@ -169,7 +214,7 @@ TEST_F(RecoveryTest, JournalReturnsOnlyBeginsWithoutEnds) {
 TEST_F(RecoveryTest, JournalSkipsTornTailAndGarbageLines) {
   const std::string path = temp_path("torn.jsonl");
   RequestJournal journal;
-  ASSERT_TRUE(journal.open(path, /*truncate=*/true));
+  ASSERT_TRUE(journal.open(path));
   (void)journal.begin("POST", "/placement", R"({"footprint_bytes": 1024})");
   journal.close();
 
@@ -178,7 +223,7 @@ TEST_F(RecoveryTest, JournalSkipsTornTailAndGarbageLines) {
     std::ofstream out(path, std::ios::app);
     out << R"({"seq": 2, "op": "begin", "method": "POST", "target")";
   }
-  const auto pending = RequestJournal::pending(path);
+  const auto pending = pending_in(path);
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].target, "/placement");
 }
@@ -191,7 +236,53 @@ TEST_F(RecoveryTest, JournalDropsRecordsWithWrongBodyDigest) {
         << R"("digest": "0000000000000000", "body": "{}"})"
         << "\n";
   }
-  EXPECT_TRUE(RequestJournal::pending(path).empty());
+  EXPECT_TRUE(pending_in(path).empty());
+}
+
+TEST_F(RecoveryTest, JournalIsCompactedToItsOpenRecords) {
+  const std::string path = temp_path("compact.jsonl");
+  RequestJournal journal;
+  ASSERT_TRUE(journal.open(path));
+  const std::uint64_t kept = journal.begin("POST", "/sweep", R"({"workload": "gups"})");
+  const std::uint64_t straddling = journal.begin("POST", "/whatif", "{}");
+  ASSERT_NE(kept, 0u);
+  ASSERT_NE(straddling, 0u);
+  // Finished requests worth well past the compaction slack.
+  const std::string body(64 << 10, 'x');
+  std::uintmax_t written = 0;
+  for (int i = 0; i < 100; ++i) {
+    journal.end(journal.begin("POST", "/whatif", body));
+    written += body.size();
+  }
+  ASSERT_GT(written, RequestJournal::kCompactSlackBytes);
+  // Begun before a compaction, ended after it: the end still closes it.
+  journal.end(straddling);
+  EXPECT_TRUE(journal.first_error().empty()) << journal.first_error();
+  journal.close();
+
+  EXPECT_LT(std::filesystem::file_size(path), RequestJournal::kCompactSlackBytes);
+  const auto pending = pending_in(path);
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].seq, kept);
+  EXPECT_EQ(pending[0].body, R"({"workload": "gups"})");
+}
+
+TEST_F(RecoveryTest, JournalOverTheReadCapIsReportedNotReplayed) {
+  const std::string path = temp_path("overcap.jsonl");
+  RequestJournal journal;
+  ASSERT_TRUE(journal.open(path));
+  (void)journal.begin("POST", "/whatif", "{}");
+  journal.close();
+
+  std::string error;
+  EXPECT_TRUE(RequestJournal::pending(path, 16, &error).empty());
+  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+  // A journal that was never written (first boot) is not an error.
+  error.clear();
+  EXPECT_TRUE(RequestJournal::pending(temp_path("never-written.jsonl"),
+                                      RequestJournal::kMaxBytes, &error)
+                  .empty());
+  EXPECT_TRUE(error.empty()) << error;
 }
 
 TEST_F(RecoveryTest, ClosedJournalBeginsAreNoOps) {
@@ -204,7 +295,7 @@ TEST_F(RecoveryTest, ClosedJournalBeginsAreNoOps) {
 TEST_F(RecoveryTest, JournalWriteFailureReturnsZeroAndIsReported) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   RequestJournal journal;
-  ASSERT_TRUE(journal.open("/dev/full", /*truncate=*/true));
+  ASSERT_TRUE(journal.open("/dev/full"));
   EXPECT_TRUE(journal.first_error().empty());
   // Every write to /dev/full fails with ENOSPC: the record never reached
   // the disk, so the request is not journaled and end() has nothing to do.
@@ -220,7 +311,7 @@ TEST_F(RecoveryTest, JournalWriteFailureReturnsZeroAndIsReported) {
 TEST_F(RecoveryTest, ServiceJournalsAdmittedPostsAndEndsThem) {
   const std::string path = temp_path("service.jsonl");
   RequestJournal journal;
-  ASSERT_TRUE(journal.open(path, /*truncate=*/true));
+  ASSERT_TRUE(journal.open(path));
   PlacementService service{ServiceOptions{.workers = 1}};
   service.set_journal(&journal);
   warm_one_entry(service);
@@ -228,7 +319,7 @@ TEST_F(RecoveryTest, ServiceJournalsAdmittedPostsAndEndsThem) {
   journal.close();
 
   // The request completed, so begin + end pair off: nothing pending.
-  EXPECT_TRUE(RequestJournal::pending(path).empty());
+  EXPECT_TRUE(pending_in(path).empty());
   // But the begin record is on disk — the file is non-trivial.
   std::string error;
   const auto text = io::read_text_file(path, kReadCap, &error);

@@ -182,7 +182,12 @@ int main(int argc, char** argv) {
     }
     knl::service::RequestJournal journal;
     if (!journal_path.empty()) {
-      const auto pending = knl::service::RequestJournal::pending(journal_path);
+      std::string journal_error;
+      const auto pending = knl::service::RequestJournal::pending(
+          journal_path, knl::service::RequestJournal::kMaxBytes, &journal_error);
+      if (!journal_error.empty()) {
+        std::cerr << "knl-serve: journal not replayed: " << journal_error << "\n";
+      }
       for (const knl::service::PendingRequest& request : pending) {
         // Replay re-warms exactly the cache entries the interrupted
         // requests would have populated; the responses are discarded.
@@ -192,7 +197,7 @@ int main(int argc, char** argv) {
         std::cout << "knl-serve: replayed " << pending.size()
                   << " journaled in-flight requests" << std::endl;
       }
-      if (!journal.open(journal_path, /*truncate=*/true)) {
+      if (!journal.open(journal_path)) {
         std::cerr << "knl-serve: cannot open journal " << journal_path << "\n";
         return 1;
       }
@@ -210,14 +215,14 @@ int main(int argc, char** argv) {
     // bench scrape it to find an ephemeral listener.
     std::cout << "knl-serve listening on 127.0.0.1:" << server.port() << std::endl;
 
-    // A journal that cannot reach the disk keeps serving but stops
-    // protecting in-flight requests; say so once.
+    // A journal failure (a record that missed the disk, a full journal, a
+    // failed compaction) does not stop serving; say so once.
     bool journal_error_logged = false;
     const auto log_journal_error = [&] {
       if (journal_error_logged) return;
       const std::string error = journal.first_error();
       if (error.empty()) return;
-      std::cerr << "knl-serve: " << error << " (in-flight requests are not journaled)\n";
+      std::cerr << "knl-serve: " << error << "\n";
       journal_error_logged = true;
     };
     while (!g_stop.load()) {
