@@ -9,17 +9,14 @@
 // with --benchmark_filter=Replay (or the bench_replay_json target).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <random>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/cache.hpp"
 #include "sim/mcdram_cache.hpp"
-#include "sim/parallel_replay.hpp"
 #include "sim/simd.hpp"
 #include "sim/tlb.hpp"
 #include "trace/generators.hpp"
@@ -336,106 +333,6 @@ void BM_ReplayTlbRandomBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(addrs.size()));
 }
 BENCHMARK(BM_ReplayTlbRandomBatched);
-
-void BM_ReplaySharded(benchmark::State& state) {
-  // Full-node replay (64 cores) with the sharded engine at various worker
-  // counts; workers=1 runs the classification inline (no pool).
-  const int kCores = 64;
-  std::vector<std::vector<std::uint64_t>> streams(kCores);
-  for (int c = 0; c < kCores; ++c) {
-    trace::UniformRandomGenerator gen(static_cast<std::uint64_t>(c) << 24, 8ull << 20,
-                                      4000, static_cast<std::uint64_t>(c) + 1);
-    streams[static_cast<std::size_t>(c)] = trace::collect_addresses(gen);
-  }
-  sim::ParallelReplayConfig cfg;
-  cfg.cores = kCores;
-  cfg.workers = static_cast<unsigned>(state.range(0));
-  double seconds = 0.0;
-  for (auto _ : state) {
-    sim::ParallelReplay machine(cfg);
-    seconds += machine.replay(streams).seconds;
-  }
-  benchmark::DoNotOptimize(seconds);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kCores * 4000);
-}
-// Real time: the interesting quantity is wall clock across all workers, not
-// CPU time of the driving thread (which mostly waits on futures).
-BENCHMARK(BM_ReplaySharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// --------------------------------------------------------------------------
-// Worker-scaling curve for the epoch-pipelined replay engine: sweep the
-// worker count 1 -> hardware threads over a fixed full-node replay and emit
-// absolute throughput plus per-worker throughput and efficiency vs ideal
-// (rate(w) / (w * rate(1))). This is the scaling wall chart the JSON bench
-// artifact records; see docs/EXPERIMENTS.md ("Replay scaling curve").
-// --------------------------------------------------------------------------
-
-constexpr int kScalingCores = 64;
-constexpr std::size_t kScalingRefsPerCore = 20000;
-
-/// Measured single-worker reference rate (refs/s); the w=1 arg always runs
-/// first, so later args can report efficiency against it.
-double g_scaling_base_rate = 0.0;
-
-const std::vector<std::vector<std::uint64_t>>& scaling_streams() {
-  static const auto streams = [] {
-    std::vector<std::vector<std::uint64_t>> s(kScalingCores);
-    for (int c = 0; c < kScalingCores; ++c) {
-      trace::UniformRandomGenerator gen(static_cast<std::uint64_t>(c) << 24,
-                                        8ull << 20, kScalingRefsPerCore,
-                                        static_cast<std::uint64_t>(c) + 1);
-      s[static_cast<std::size_t>(c)] = trace::collect_addresses(gen);
-    }
-    return s;
-  }();
-  return streams;
-}
-
-void BM_ReplayScaling(benchmark::State& state) {
-  const auto workers = static_cast<unsigned>(state.range(0));
-  const auto& streams = scaling_streams();
-  sim::ParallelReplayConfig cfg;
-  cfg.cores = kScalingCores;
-  cfg.workers = workers;
-  // Time the replay engine alone (steady_clock around the call), excluding
-  // the per-iteration machine construction the framework would fold in.
-  double elapsed_s = 0.0;
-  for (auto _ : state) {
-    sim::ParallelReplay machine(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto stats = machine.replay(streams);
-    const auto t1 = std::chrono::steady_clock::now();
-    elapsed_s += std::chrono::duration<double>(t1 - t0).count();
-    benchmark::DoNotOptimize(stats.accesses);
-  }
-  const double refs = static_cast<double>(state.iterations()) *
-                      static_cast<double>(kScalingCores) *
-                      static_cast<double>(kScalingRefsPerCore);
-  const double rate = elapsed_s > 0.0 ? refs / elapsed_s : 0.0;
-  if (workers == 1) g_scaling_base_rate = rate;
-  state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-  state.counters["refs_per_s"] = rate;
-  state.counters["refs_per_s_per_worker"] = rate / static_cast<double>(workers);
-  // 64 B of simulated traffic per replayed reference.
-  state.counters["replayed_gb_per_s_per_worker"] =
-      rate * 64.0 / 1e9 / static_cast<double>(workers);
-  state.counters["efficiency_vs_ideal"] =
-      g_scaling_base_rate > 0.0
-          ? rate / (static_cast<double>(workers) * g_scaling_base_rate)
-          : 0.0;
-}
-
-void ScalingWorkerArgs(benchmark::internal::Benchmark* b) {
-  // 1, 2, 4, ... up to the hardware thread count (always ending on it), and
-  // never fewer than two points so the curve exists even on 1-CPU runners.
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  for (unsigned w = 1; w < hw; w *= 2) b->Arg(static_cast<int>(w));
-  b->Arg(static_cast<int>(hw));
-}
-BENCHMARK(BM_ReplayScaling)
-    ->Apply(ScalingWorkerArgs)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_CacheSimSweep(benchmark::State& state) {
   sim::CacheSim cache(sim::CacheConfig{.capacity_bytes = 1 << 20, .line_bytes = 64,

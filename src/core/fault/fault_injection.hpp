@@ -42,7 +42,6 @@ inline constexpr const char* kSiteThreadPoolDispatch =
 inline constexpr const char* kSiteSweepCell = "sweep-cell";  // (grid cell index)
 inline constexpr const char* kSiteJsonRead = "json-read";    // (filename hash)
 inline constexpr const char* kSiteJsonWrite = "json-write";  // (filename hash)
-inline constexpr const char* kSiteReplayEpoch = "replay-epoch";  // (epoch index)
 inline constexpr const char* kSitePipelineInterrupt =
     "pipeline-interrupt";  // (experiment index); non-throwing, SIGINT-style
 inline constexpr const char* kSiteHttpRead =

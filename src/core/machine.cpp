@@ -22,6 +22,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)), timing_(con
   config_.validate();
   fast_ = config_.topology.fast_tier();
   dram_ = config_.topology.dram_tier();
+  fingerprint_ = config_.fingerprint();
 }
 
 std::string Machine::describe() const {

@@ -37,6 +37,10 @@ class Machine {
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
   [[nodiscard]] const sim::TimingModel& timing() const noexcept { return timing_; }
 
+  /// config().fingerprint(), computed once: the config never changes after
+  /// construction, and every cached cell is keyed by this hash.
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+
   /// The memory topology this machine runs on (the config's).
   [[nodiscard]] const sim::MemoryTopology& memory_topology() const noexcept {
     return config_.topology;
@@ -95,6 +99,7 @@ class Machine {
   sim::TimingModel timing_;
   int fast_ = 0;  ///< MemoryTopology::fast_tier() of the config's topology
   int dram_ = 0;  ///< MemoryTopology::dram_tier() of the config's topology
+  std::uint64_t fingerprint_ = 0;  ///< MachineConfig::fingerprint() of config_
 };
 
 }  // namespace knl

@@ -4,17 +4,6 @@
 
 namespace knl::core {
 
-std::vector<ChunkRange> split_range(std::size_t begin, std::size_t end, std::size_t grain) {
-  if (grain == 0) throw std::invalid_argument("split_range: grain must be >= 1");
-  std::vector<ChunkRange> chunks;
-  if (begin >= end) return chunks;
-  chunks.reserve((end - begin + grain - 1) / grain);
-  for (std::size_t b = begin; b < end; b += grain) {
-    chunks.push_back(ChunkRange{b, std::min(b + grain, end)});
-  }
-  return chunks;
-}
-
 unsigned ThreadPool::hardware_threads() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -1,8 +1,9 @@
 // Work-stealing thread pool — the execution substrate of the parallel sweep
-// engine (report/sweep.hpp) and of any other embarrassingly-parallel grid in
-// the library. The query service does not use it: PlacementService runs each
-// query on the calling thread behind a slot gate, because a hand-off to a
-// worker and back cost more than a /placement query computes.
+// engine (report/sweep.hpp) and of the sharded reuse-distance pass
+// (sim/reuse_profile.cpp). The query service does not use it:
+// PlacementService runs each query on the calling thread behind a slot gate,
+// because a hand-off to a worker and back cost more than a /placement query
+// computes.
 //
 // Design: each worker owns a deque guarded by its own mutex. Submission
 // round-robins tasks across the deques; a worker pops from the front of its
@@ -16,13 +17,6 @@
 //
 // Destruction is graceful: the destructor stops intake, drains every queued
 // task, and joins the workers — no submitted future is ever abandoned.
-//
-// On top of the pool sit the data-parallel helpers used by the threaded
-// workload executors (src/workloads): parallel_for / parallel_reduce over an
-// index range, chunked by a caller-chosen grain. Chunk boundaries depend only
-// on the range and the grain — never on the worker count — and reductions
-// combine chunk results in ascending chunk order, so any floating-point
-// result is bit-identical for 1, 2 or N workers (only the wall time changes).
 #pragma once
 
 #include <atomic>
@@ -30,11 +24,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -113,85 +105,5 @@ class ThreadPool {
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
 };
-
-/// One half-open chunk of an index range, as produced by split_range.
-struct ChunkRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Deterministic chunking of [begin, end): consecutive chunks of `grain`
-/// indices each (the last chunk holds the remainder). The decomposition is a
-/// pure function of the range and the grain, which is the property every
-/// chunk-ordered reduction below relies on for worker-count independence.
-/// Throws std::invalid_argument for grain == 0; an empty range yields no
-/// chunks.
-[[nodiscard]] std::vector<ChunkRange> split_range(std::size_t begin, std::size_t end,
-                                                  std::size_t grain);
-
-/// Run `body(chunk_begin, chunk_end)` over every chunk of [begin, end) on the
-/// pool, blocking until all chunks finish. A single-chunk range runs inline on
-/// the calling thread (no pool round-trip). If any chunk throws, every other
-/// chunk still runs to completion and the exception of the lowest-indexed
-/// failing chunk is rethrown — deterministic for any worker count.
-///
-/// Call from outside the pool only: the caller blocks on chunk futures, so a
-/// worker invoking this on its own pool can deadlock.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t grain,
-                  Body&& body) {
-  const std::vector<ChunkRange> chunks = split_range(begin, end, grain);
-  if (chunks.empty()) return;
-  if (chunks.size() == 1) {
-    body(chunks[0].begin, chunks[0].end);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks.size());
-  for (const ChunkRange& chunk : chunks) {
-    futures.push_back(pool.submit([&body, chunk] { body(chunk.begin, chunk.end); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Deterministic chunked reduction: evaluates `map(chunk_begin, chunk_end)`
-/// for every chunk on the pool, then folds the per-chunk results with
-/// `combine` in ascending chunk order starting from `init`. Because both the
-/// chunk boundaries and the combine order are independent of the worker
-/// count, floating-point reductions are bit-identical for any pool size.
-/// Exceptions behave as in parallel_for.
-template <typename T, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end,
-                                std::size_t grain, T init, Map&& map, Combine&& combine) {
-  const std::vector<ChunkRange> chunks = split_range(begin, end, grain);
-  if (chunks.empty()) return init;
-  if (chunks.size() == 1) {
-    return combine(std::move(init), map(chunks[0].begin, chunks[0].end));
-  }
-  std::vector<std::future<T>> futures;
-  futures.reserve(chunks.size());
-  for (const ChunkRange& chunk : chunks) {
-    futures.push_back(pool.submit([&map, chunk] { return map(chunk.begin, chunk.end); }));
-  }
-  T acc = std::move(init);
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      acc = combine(std::move(acc), future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return acc;
-}
 
 }  // namespace knl::core

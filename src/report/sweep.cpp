@@ -601,7 +601,7 @@ bool SweepCache::load(const std::string& path) {
 // ---------------------------------------------------------------------------
 RunResult cached_run(const Machine& machine, const trace::AccessProfile& profile,
                      const RunConfig& run_config, bool* cache_hit) {
-  const SweepKey key{profile_fingerprint(profile), machine.config().fingerprint(),
+  const SweepKey key{profile_fingerprint(profile), machine.fingerprint(),
                      run_config.config, run_config.threads};
   return SweepCache::instance().fetch_or_compute(
       key, [&] { return machine.run(profile, run_config); }, cache_hit);
@@ -610,7 +610,7 @@ RunResult cached_run(const Machine& machine, const trace::AccessProfile& profile
 std::optional<RunResult> cached_lookup(const Machine& machine,
                                        const trace::AccessProfile& profile,
                                        const RunConfig& run_config) {
-  const SweepKey key{profile_fingerprint(profile), machine.config().fingerprint(),
+  const SweepKey key{profile_fingerprint(profile), machine.fingerprint(),
                      run_config.config, run_config.threads};
   return SweepCache::instance().lookup(key);
 }
@@ -896,7 +896,7 @@ std::size_t SweepPlanner::add(const Machine& machine,
                               const trace::AccessProfile& profile, int threads,
                               CapacityGrid grid, Figure figure) {
   const ProfileKey key{trace_fingerprint(profile, grid.synth),
-                       machine.config().fingerprint(), threads,
+                       machine.fingerprint(), threads,
                        geometry_fingerprint(grid)};
   requests_.push_back(Request{&machine, profile, threads, std::move(grid),
                               std::move(figure), key});

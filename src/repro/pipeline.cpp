@@ -18,7 +18,7 @@ namespace {
 
 std::string hex_fingerprint(const Machine& machine) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, machine.config().fingerprint());
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, machine.fingerprint());
   return buf;
 }
 

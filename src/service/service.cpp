@@ -270,7 +270,7 @@ Value topology_json(const Machine& machine) {
   const sim::MemoryTopology& topology = machine.memory_topology();
   char fingerprint[32];
   std::snprintf(fingerprint, sizeof fingerprint, "%016" PRIx64,
-                machine.config().fingerprint());
+                machine.fingerprint());
   Value out = Value::object();
   out.set("name", topology.name);
   out.set("fingerprint", std::string(fingerprint));
@@ -924,17 +924,14 @@ Value PlacementService::do_stats() const {
   health_json.set("transitions", static_cast<double>(health.transitions));
   out.set("health", std::move(health_json));
 
-  // Replay-engine telemetry: what the sharded classification substrate has
-  // done process-wide, plus the SIMD level its decompose kernels dispatch to.
+  // Replay-engine telemetry: the batched cache/TLB block paths' work
+  // process-wide, plus the SIMD level their decompose kernels dispatch to.
   const sim::ReplayTelemetrySnapshot replay = sim::ReplayTelemetry::instance().snapshot();
   Value replay_json = Value::object();
   replay_json.set("simd_level", sim::simd::level_name(sim::simd::active_level()));
   replay_json.set("classified_blocks", static_cast<double>(replay.classified_blocks));
   replay_json.set("classified_addresses",
                   static_cast<double>(replay.classified_addresses));
-  replay_json.set("replay_runs", static_cast<double>(replay.replay_runs));
-  replay_json.set("replay_epochs", static_cast<double>(replay.replay_epochs));
-  replay_json.set("overlapped_epochs", static_cast<double>(replay.overlapped_epochs));
   out.set("replay", std::move(replay_json));
 
   // Per-machine topology identity: cache entries are keyed by fingerprint

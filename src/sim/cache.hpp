@@ -82,8 +82,8 @@ class CacheSim {
 
   /// Batched access that additionally records the per-address outcome:
   /// hit_out[i] = 1 when addrs[i] hit (non-sampled sets report 1, exactly
-  /// like access()). This is the classification hand-off ParallelReplay
-  /// uses to chain L1 -> L2 without falling back to per-address calls.
+  /// like access()), so a caller can chain L1 -> L2 over the misses
+  /// without falling back to per-address calls.
   BlockStats access_block_flags(const std::uint64_t* addrs, std::size_t n,
                                 std::uint8_t* hit_out);
 
@@ -167,9 +167,8 @@ class CacheSim {
   CacheStats stats_;
   // Lazily materialized flat storage: slabs_[sampled_idx >> kSlabSetShift].
   std::vector<std::unique_ptr<Slab>> slabs_;
-  // SoA staging arrays (simd::kSoaChunk entries each), lazily allocated on
-  // the thread that first replays a block — under the sharded replay that is
-  // the shard's worker, so first-touch keeps the scratch NUMA-local.
+  // SoA staging arrays (simd::kSoaChunk entries each), lazily allocated by
+  // the first block access.
   std::vector<std::uint64_t> soa_set_;
   std::vector<std::uint64_t> soa_tag_;
 };

@@ -1,52 +1,10 @@
 #include "sim/parallel_replay.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <future>
-#include <new>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "core/epoch_queue.hpp"
-#include "core/fault/fault_injection.hpp"
-#include "sim/replay_telemetry.hpp"
-
 namespace knl::sim {
-
-void ParallelReplay::ShardArena::ensure(std::size_t epoch_accesses) {
-  if (epoch_capacity_ >= epoch_accesses) return;
-  constexpr std::size_t kAlign = 64;
-  const auto rounded = [](std::size_t bytes) {
-    return (bytes + kAlign - 1) & ~(kAlign - 1);
-  };
-  const std::size_t cls_bytes = rounded(epoch_accesses);
-  const std::size_t flag_bytes = rounded(kClassifyChunk);
-  const std::size_t addr_bytes = rounded(kClassifyChunk * sizeof(std::uint64_t));
-  const std::size_t idx_bytes = rounded(kClassifyChunk * sizeof(std::uint32_t));
-  const std::size_t total = 2 * cls_bytes + 3 * flag_bytes + addr_bytes + idx_bytes;
-  auto* slab = static_cast<std::byte*>(std::aligned_alloc(kAlign, total));
-  if (slab == nullptr) throw std::bad_alloc();
-  // Zeroing here is the first touch: under a first-touch NUMA policy the
-  // slab's pages bind to the node of the worker that replays this shard.
-  std::memset(slab, 0, total);
-  slab_.reset(slab);
-  std::byte* p = slab;
-  const auto carve = [&p](std::size_t bytes) {
-    std::byte* segment = p;
-    p += bytes;
-    return segment;
-  };
-  cls_[0] = reinterpret_cast<std::uint8_t*>(carve(cls_bytes));
-  cls_[1] = reinterpret_cast<std::uint8_t*>(carve(cls_bytes));
-  tlb_hit_ = reinterpret_cast<std::uint8_t*>(carve(flag_bytes));
-  l1_hit_ = reinterpret_cast<std::uint8_t*>(carve(flag_bytes));
-  l2_hit_ = reinterpret_cast<std::uint8_t*>(carve(flag_bytes));
-  miss_addrs_ = reinterpret_cast<std::uint64_t*>(carve(addr_bytes));
-  miss_idx_ = reinterpret_cast<std::uint32_t*>(carve(idx_bytes));
-  epoch_capacity_ = epoch_accesses;
-}
 
 ParallelReplay::ParallelReplay() : ParallelReplay(ParallelReplayConfig{}) {}
 
@@ -58,9 +16,6 @@ ParallelReplay::ParallelReplay(ParallelReplayConfig config)
   }
   if (config_.issue_ns <= 0.0) {
     throw std::invalid_argument("ParallelReplay: issue_ns must be positive");
-  }
-  if (config_.epoch_accesses < 1) {
-    throw std::invalid_argument("ParallelReplay: epoch_accesses must be >= 1");
   }
   reset();
   // Serialize line transfers at the (scaled) bandwidth cap: one 64 B line
@@ -81,267 +36,14 @@ void ParallelReplay::reset() {
   cores_.reserve(static_cast<std::size_t>(config_.cores));
   for (int c = 0; c < config_.cores; ++c) {
     Core core{CacheSim(config_.l1), CacheSim(config_.l2), TlbSim(config_.tlb), {}, 0.0,
-              0, {}};
+              0};
     core.mshr_free_at.assign(static_cast<std::size_t>(config_.mshrs_per_core), 0.0);
     cores_.push_back(std::move(core));
   }
   memory_free_at_ = 0.0;
 }
 
-ReplayCounters ParallelReplay::classify(Core& core,
-                                        const std::vector<std::uint64_t>& stream,
-                                        std::size_t begin, std::size_t end,
-                                        std::uint8_t* cls) {
-  ReplayCounters counters;
-  std::uint8_t* tlb_hit = core.arena.tlb_hit();
-  std::uint8_t* l1_hit = core.arena.l1_hit();
-  std::uint8_t* l2_hit = core.arena.l2_hit();
-  std::uint64_t* miss_addrs = core.arena.miss_addrs();
-  std::uint32_t* miss_idx = core.arena.miss_idx();
-
-  for (std::size_t i = begin; i < end; i += kClassifyChunk) {
-    const std::size_t n = std::min(kClassifyChunk, end - i);
-    const std::uint64_t* addrs = stream.data() + i;
-    std::uint8_t* out = cls + (i - begin);
-
-    // Stage 1+2: whole-chunk TLB and L1 probes through the SoA block paths.
-    core.tlb.access_block(addrs, n, tlb_hit);
-    core.l1.access_block_flags(addrs, n, l1_hit);
-
-    // Stage 3: compact the L1 misses (stream order preserved) and probe L2
-    // over the compacted subsequence — the same L2 access order as the
-    // per-address reference, so L2 state and stats stay bit-identical.
-    std::size_t misses = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (l1_hit[j] == 0) {
-        miss_addrs[misses] = addrs[j];
-        miss_idx[misses] = static_cast<std::uint32_t>(j);
-        ++misses;
-      }
-    }
-    if (misses != 0) core.l2.access_block_flags(miss_addrs, misses, l2_hit);
-
-    // Fuse the stage flags into per-address classification bytes.
-    std::uint64_t tlb_misses = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const bool missed_tlb = tlb_hit[j] == 0;
-      out[j] = missed_tlb ? kClassTlbMiss : kClassL1;
-      tlb_misses += missed_tlb ? 1u : 0u;
-    }
-    std::uint64_t l2_hits = 0;
-    for (std::size_t j = 0; j < misses; ++j) {
-      const std::uint8_t kind = l2_hit[j] != 0 ? kClassL2 : kClassMemory;
-      out[miss_idx[j]] = static_cast<std::uint8_t>(out[miss_idx[j]] | kind);
-      l2_hits += l2_hit[j] != 0 ? 1u : 0u;
-    }
-    counters.tlb_misses += tlb_misses;
-    counters.l1_hits += n - misses;
-    counters.l2_hits += l2_hits;
-    counters.memory_accesses += misses - l2_hits;
-  }
-  counters.accesses = end - begin;
-  return counters;
-}
-
 ParallelReplayStats ParallelReplay::replay(
-    const std::vector<std::vector<std::uint64_t>>& streams) {
-  if (streams.size() != cores_.size()) {
-    throw std::invalid_argument("ParallelReplay: one stream per core required");
-  }
-  ParallelReplayStats stats;
-  double last_done = 0.0;
-
-  // Round alignment identical to the lock-step reference: in global round r
-  // (counted from this call), core c consumes streams[c][pos0[c] + r] if
-  // that index exists. Epoch e covers rounds [e*epoch_len, (e+1)*epoch_len).
-  const std::size_t num_cores = cores_.size();
-  std::vector<std::size_t> pos0(num_cores), remaining(num_cores);
-  std::size_t max_remaining = 0;
-  for (std::size_t c = 0; c < num_cores; ++c) {
-    pos0[c] = cores_[c].position;
-    remaining[c] = streams[c].size() > pos0[c] ? streams[c].size() - pos0[c] : 0;
-    max_remaining = std::max(max_remaining, remaining[c]);
-  }
-  const std::size_t epoch_len = config_.epoch_accesses;
-  const std::size_t num_epochs =
-      max_remaining == 0 ? 0 : (max_remaining + epoch_len - 1) / epoch_len;
-
-  const bool parallel = num_cores > 1 && config_.workers != 1;
-  if (parallel && !pool_) {
-    pool_ = std::make_unique<core::ThreadPool>(config_.workers);
-  }
-
-  // Epoch pipeline plumbing. The queue is bounded at the core count: by the
-  // time wave e+1's shards can push, every wave-e message has been popped,
-  // so producers never block on a full ring.
-  core::BoundedMpscQueue<EpochResult> queue(num_cores);
-  std::vector<std::future<void>> pending;
-  pending.reserve(num_cores);
-  std::vector<ReplayCounters> wave_counters(num_cores);
-
-  const auto slice_end_of = [&](std::size_t e, std::size_t c) {
-    return std::min(remaining[c], std::min(max_remaining, (e + 1) * epoch_len));
-  };
-
-  // Launch wave e: one classification task per core with work in epoch e,
-  // writing into parity half e&1 of the core's double-buffered cls bytes.
-  const auto submit_wave = [&](std::size_t e) {
-    const std::size_t epoch_start = e * epoch_len;
-    for (std::size_t c = 0; c < num_cores; ++c) {
-      const std::size_t slice_end = slice_end_of(e, c);
-      if (slice_end <= epoch_start) continue;
-      Core& core = cores_[c];
-      const std::size_t begin = pos0[c] + epoch_start;
-      const std::size_t end = pos0[c] + slice_end;
-      const auto task = [this, e, c, &core, &stream = streams[c], begin, end,
-                         &queue] {
-        // ensure() runs on the shard's worker so the slab is first-touched
-        // (and thus NUMA-placed) where the shard's replay runs.
-        core.arena.ensure(config_.epoch_accesses);
-        EpochResult result{static_cast<std::uint32_t>(e), static_cast<std::uint32_t>(c),
-                           classify(core, stream, begin, end, core.arena.cls(e))};
-        queue.push(std::move(result));
-      };
-      if (parallel) {
-        pending.push_back(pool_->submit(task));
-      } else {
-        task();
-      }
-    }
-  };
-
-  // Reap finished pool tasks: an exception thrown at the thread-pool
-  // dispatch fault site lands in the future (the task body never ran and
-  // never pushed), so without this the collect loop would wait forever.
-  const auto reap_ready = [&] {
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        std::future<void> done = std::move(pending[i]);
-        pending[i] = std::move(pending.back());
-        pending.pop_back();
-        done.get();  // rethrows a dispatch-site fault
-      } else {
-        ++i;
-      }
-    }
-  };
-
-  // Gather wave e's per-shard counters from the queue. The acquire pop is
-  // the happens-before edge that makes the shard's cls bytes (and cache
-  // stats) visible to the reconciling thread.
-  const auto collect_wave = [&](std::size_t e) {
-    std::fill(wave_counters.begin(), wave_counters.end(), ReplayCounters{});
-    const std::size_t epoch_start = e * epoch_len;
-    std::size_t expected = 0;
-    for (std::size_t c = 0; c < num_cores; ++c) {
-      if (slice_end_of(e, c) > epoch_start) ++expected;
-    }
-    std::size_t got = 0;
-    while (got < expected) {
-      EpochResult result;
-      if (queue.try_pop(result)) {
-        wave_counters[result.core] = result.counters;
-        ++got;
-        continue;
-      }
-      reap_ready();
-      std::this_thread::yield();
-    }
-  };
-
-  // Error path: in-flight tasks reference this frame's locals, so before
-  // rethrowing the primary failure, wait them all out (swallowing secondary
-  // outcomes) and drain any queued messages.
-  const auto quiesce = [&]() noexcept {
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-    pending.clear();
-    EpochResult sink;
-    while (queue.try_pop(sink)) {
-    }
-  };
-
-  try {
-    if (num_epochs > 0) submit_wave(0);
-    for (std::size_t e = 0; e < num_epochs; ++e) {
-      // Pipeline step: finish collecting wave e, immediately launch wave
-      // e+1 into the other parity half, then reconcile wave e's timing
-      // while the pool classifies ahead.
-      collect_wave(e);
-      if (e + 1 < num_epochs) submit_wave(e + 1);
-
-      // Fault-injection site at the epoch boundary (keyed by epoch index —
-      // deterministic for any worker count). It fires while wave e+1 is
-      // already classifying, so an injected fault aborts the replay with an
-      // epoch in flight; call reset() before reusing this instance.
-      fault::maybe_inject(fault::kSiteReplayEpoch, e);
-
-      // Merge in core order — deterministic by construction.
-      for (std::size_t c = 0; c < num_cores; ++c) stats.merge(wave_counters[c]);
-
-      // Phase B: serial reconciliation of the shared bandwidth budget, in
-      // the exact round order (and with the exact FP operations) of the
-      // lock-step reference — bit-identical for every worker count and
-      // epoch size. Reads parity half e&1; wave e+1 writes the other half.
-      const std::size_t epoch_start = e * epoch_len;
-      const std::size_t epoch_end = std::min(max_remaining, epoch_start + epoch_len);
-      for (std::size_t r = epoch_start; r < epoch_end; ++r) {
-        for (std::size_t c = 0; c < num_cores; ++c) {
-          if (r >= remaining[c]) continue;
-          Core& core = cores_[c];
-          const std::uint8_t cls = core.arena.cls(e)[r - epoch_start];
-
-          core.issue_cursor += config_.issue_ns;
-          double start = core.issue_cursor;
-          if (cls & kClassTlbMiss) start += config_.tlb.walk_cached_ns;
-
-          if ((cls & kClassKindMask) == kClassL1) {
-            last_done = std::max(last_done, start + config_.l1_latency_ns);
-            continue;
-          }
-          auto earliest =
-              std::min_element(core.mshr_free_at.begin(), core.mshr_free_at.end());
-          const double issue = std::max(start, *earliest);
-          if ((cls & kClassKindMask) == kClassL2) {
-            last_done = std::max(last_done, issue + config_.l2_latency_ns);
-            continue;
-          }
-          // Contend for the shared bandwidth budget (token bucket), then pay
-          // the memory latency.
-          const double grant = std::max(issue, memory_free_at_);
-          if (memory_free_at_ > issue) stats.capped_seconds += (grant - issue) * 1e-9;
-          memory_free_at_ = grant + line_service_ns_;
-          const double done = grant + config_.l2_latency_ns +
-                              mesh_.directory_latency_ns() +
-                              config_.node.idle_latency_ns;
-          *earliest = done;
-          last_done = std::max(last_done, done);
-        }
-      }
-    }
-    // Every wave has been collected; settle the pool wrappers that may still
-    // be finishing (and surface a trailing dispatch-site fault, if any).
-    for (auto& f : pending) f.get();
-    pending.clear();
-  } catch (...) {
-    quiesce();
-    throw;
-  }
-
-  for (std::size_t c = 0; c < num_cores; ++c) {
-    cores_[c].position = pos0[c] + std::min(remaining[c], max_remaining);
-  }
-  ReplayTelemetry::instance().record_replay(
-      num_epochs, parallel && num_epochs > 1 ? num_epochs - 1 : 0);
-  stats.seconds = last_done * 1e-9;
-  return stats;
-}
-
-ParallelReplayStats ParallelReplay::replay_reference(
     const std::vector<std::vector<std::uint64_t>>& streams) {
   if (streams.size() != cores_.size()) {
     throw std::invalid_argument("ParallelReplay: one stream per core required");

@@ -10,36 +10,15 @@
 //
 // Simplification: cores are synchronized in rounds of one access each
 // (lock-step interleave). That matches how the analytic model treats
-// homogeneous SPMD phases and keeps the replay deterministic.
-//
-// Execution engine: replay() shards the work. Cache/TLB classification —
-// the expensive part — depends only on each core's private address order,
-// so per-epoch it runs as one task per core on a work-stealing thread pool,
-// staged through SoA buffers and the SIMD decompose kernels (sim/simd.hpp).
-// Each shard classifies into a per-shard slab arena: one aligned allocation
-// holding its double-buffered classification bytes and chunk scratch,
-// allocated and first-touched inside the shard's own pool task so the pages
-// land NUMA-local to the worker that replays them, and carved at cache-line
-// boundaries so shards never false-share.
-//
-// Timing reconciliation of the shared bandwidth budget is serial by
-// construction (it is a global token bucket), but it no longer barriers the
-// pipeline: shards announce epoch completion through a bounded lock-free
-// MPSC queue (core/epoch_queue.hpp), and the reconciling thread replays
-// epoch e's rounds while the pool is already classifying epoch e+1 into the
-// other half of each shard's double buffer. Results stay bit-identical to
-// the retained single-threaded reference (replay_reference) for every
-// worker count and epoch size — see docs/ARCHITECTURE.md ("Sharded replay
-// determinism").
+// homogeneous SPMD phases and keeps the replay deterministic. The
+// "parallel" is the simulated cores: replay() is one serial loop on the
+// calling thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "sim/cache.hpp"
 #include "sim/knl_params.hpp"
 #include "sim/mesh.hpp"
@@ -66,12 +45,6 @@ struct ParallelReplayConfig {
   /// Scale the node's bandwidth cap to the replayed core count, so an
   /// 8-core replay models 1/8 of the node (caps are machine-wide).
   bool scale_cap_to_cores = true;
-  /// Worker threads for the sharded classification phase; 0 = one per
-  /// hardware thread. Results are identical for every value.
-  unsigned workers = 0;
-  /// Per-core accesses classified per epoch before the serial
-  /// bandwidth-budget reconciliation pass (bounds buffer memory).
-  std::size_t epoch_accesses = 1 << 15;
 };
 
 class ParallelReplay {
@@ -80,15 +53,10 @@ class ParallelReplay {
   explicit ParallelReplay(ParallelReplayConfig config);
 
   /// Replay one independent access stream per core (streams may differ in
-  /// length; shorter cores idle). Returns aggregate statistics. Sharded
-  /// engine: parallel classification overlapped with serial budget
-  /// reconciliation via the lock-free epoch queue.
+  /// length; shorter cores idle). Returns aggregate statistics. Caches,
+  /// MSHRs, issue cursors, the bandwidth budget and stream positions carry
+  /// over to the next call until reset().
   ParallelReplayStats replay(const std::vector<std::vector<std::uint64_t>>& streams);
-
-  /// Single-threaded lock-step reference implementation, kept as the
-  /// test oracle replay() must match bit-for-bit.
-  ParallelReplayStats replay_reference(
-      const std::vector<std::vector<std::uint64_t>>& streams);
 
   /// Effective bandwidth cap applied to this replay (GB/s).
   [[nodiscard]] double bandwidth_cap_gbs() const;
@@ -98,84 +66,14 @@ class ParallelReplay {
   [[nodiscard]] const ParallelReplayConfig& config() const noexcept { return config_; }
 
  private:
-  /// Access classification produced by the sharded phase: what each access
-  /// resolved to in the core-private hierarchy (timing-independent).
-  enum : std::uint8_t {
-    kClassL1 = 0,
-    kClassL2 = 1,
-    kClassMemory = 2,
-    kClassKindMask = 0x3,
-    kClassTlbMiss = 0x4,
-  };
-
-  /// Classification staging chunk (addresses): sized to the trace layer's
-  /// kAddressChunk so one staged chunk matches one generator hand-off.
-  static constexpr std::size_t kClassifyChunk = 4096;
-
-  /// Per-shard slab arena: one cache-line-aligned allocation carved into the
-  /// shard's double-buffered per-epoch classification bytes plus the chunk
-  /// staging scratch (stage flags, L1-miss compaction). ensure() allocates
-  /// and zeroes (= first-touches) the slab on the calling thread — the
-  /// shard's pool worker — so under a NUMA first-touch policy the pages land
-  /// on the node that replays the shard. Segments are 64 B-rounded, so no
-  /// two shards (and no two segments) share a cache line.
-  class ShardArena {
-   public:
-    void ensure(std::size_t epoch_accesses);
-
-    [[nodiscard]] std::uint8_t* cls(std::size_t parity) noexcept {
-      return cls_[parity & 1];
-    }
-    [[nodiscard]] const std::uint8_t* cls(std::size_t parity) const noexcept {
-      return cls_[parity & 1];
-    }
-    [[nodiscard]] std::uint8_t* tlb_hit() noexcept { return tlb_hit_; }
-    [[nodiscard]] std::uint8_t* l1_hit() noexcept { return l1_hit_; }
-    [[nodiscard]] std::uint8_t* l2_hit() noexcept { return l2_hit_; }
-    [[nodiscard]] std::uint64_t* miss_addrs() noexcept { return miss_addrs_; }
-    [[nodiscard]] std::uint32_t* miss_idx() noexcept { return miss_idx_; }
-
-   private:
-    struct FreeDeleter {
-      void operator()(void* p) const noexcept { std::free(p); }
-    };
-
-    std::unique_ptr<std::byte, FreeDeleter> slab_;
-    std::size_t epoch_capacity_ = 0;
-    std::uint8_t* cls_[2] = {nullptr, nullptr};
-    std::uint8_t* tlb_hit_ = nullptr;
-    std::uint8_t* l1_hit_ = nullptr;
-    std::uint8_t* l2_hit_ = nullptr;
-    std::uint64_t* miss_addrs_ = nullptr;
-    std::uint32_t* miss_idx_ = nullptr;
-  };
-
-  /// 64 B alignment keeps each shard's hot mutable state (cache tick/stats
-  /// counters, TLB cursors) on cache lines no other shard's worker writes.
-  struct alignas(64) Core {
+  struct Core {
     CacheSim l1;
     CacheSim l2;
     TlbSim tlb;
     std::vector<double> mshr_free_at;
     double issue_cursor = 0.0;
     std::size_t position = 0;  // next index in its stream
-    ShardArena arena;          // worker-owned classification buffers
   };
-
-  /// Message a shard pushes through the epoch queue when its slice of an
-  /// epoch finishes classifying.
-  struct EpochResult {
-    std::uint32_t epoch = 0;
-    std::uint32_t core = 0;
-    ReplayCounters counters;
-  };
-
-  /// Classify stream[begin..end) through `core`'s private hierarchy into
-  /// `cls` (pure integer work, no timing): staged per kClassifyChunk as
-  /// TLB block -> L1 block -> compacted-L1-miss L2 block, preserving the
-  /// exact per-simulator access order of the per-address reference.
-  ReplayCounters classify(Core& core, const std::vector<std::uint64_t>& stream,
-                          std::size_t begin, std::size_t end, std::uint8_t* cls);
 
   ParallelReplayConfig config_;
   Mesh mesh_;
@@ -184,7 +82,6 @@ class ParallelReplay {
   /// start the next line transfer.
   double memory_free_at_ = 0.0;
   double line_service_ns_ = 0.0;
-  std::unique_ptr<core::ThreadPool> pool_;  // lazily created classification pool
 };
 
 }  // namespace knl::sim

@@ -1,10 +1,7 @@
 // Shared statistics vocabulary of the discrete replay engines.
 //
-// TraceMachine (single core) and ParallelReplay (sharded multi-core) count
-// the same events; ReplayCounters holds those counters once, and merge() is
-// the reduction the sharded replay uses to combine per-core counts (it is
-// associative and commutative, but the reducer always merges in core order
-// so the result is deterministic by construction, not by accident).
+// TraceMachine (single core) and ParallelReplay (lock-step multi-core) count
+// the same events; ReplayCounters holds those counters once.
 #pragma once
 
 #include <cstdint>
@@ -21,17 +18,6 @@ struct ReplayCounters {
   std::uint64_t memory_accesses = 0;
   std::uint64_t tlb_misses = 0;
   std::uint64_t mcdram_hits = 0;
-
-  /// Accumulate another shard's counters into this one.
-  ReplayCounters& merge(const ReplayCounters& other) {
-    accesses += other.accesses;
-    l1_hits += other.l1_hits;
-    l2_hits += other.l2_hits;
-    memory_accesses += other.memory_accesses;
-    tlb_misses += other.tlb_misses;
-    mcdram_hits += other.mcdram_hits;
-    return *this;
-  }
 };
 
 /// Counters plus the simulated wall time of the replayed stream.

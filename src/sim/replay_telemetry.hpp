@@ -1,10 +1,9 @@
 // Process-wide replay-engine telemetry.
 //
-// The replay substrate (CacheSim/TlbSim block paths, ParallelReplay's epoch
-// pipeline) is what the placement service bills every query against, so its
-// activity is surfaced through the service's /stats endpoint. Counters are
-// relaxed atomics bumped once per *block* or per *epoch* — never per
-// address — so the hot loops pay one fetch_add per few thousand events.
+// The batched replay substrate (CacheSim/TlbSim block paths) surfaces its
+// activity through the service's /stats endpoint. Counters are relaxed
+// atomics bumped once per *block* — never per address — so the hot loops pay
+// one fetch_add per few thousand events.
 #pragma once
 
 #include <atomic>
@@ -16,10 +15,6 @@ namespace knl::sim {
 struct ReplayTelemetrySnapshot {
   std::uint64_t classified_blocks = 0;     ///< access_block calls (cache + TLB)
   std::uint64_t classified_addresses = 0;  ///< addresses those blocks carried
-  std::uint64_t replay_runs = 0;           ///< ParallelReplay::replay calls
-  std::uint64_t replay_epochs = 0;         ///< epochs reconciled
-  std::uint64_t overlapped_epochs = 0;     ///< epochs classified while a prior
-                                           ///< epoch was still reconciling
 };
 
 class ReplayTelemetry {
@@ -33,19 +28,11 @@ class ReplayTelemetry {
     classified_blocks_.fetch_add(1, std::memory_order_relaxed);
     classified_addresses_.fetch_add(addresses, std::memory_order_relaxed);
   }
-  void record_replay(std::uint64_t epochs, std::uint64_t overlapped) noexcept {
-    replay_runs_.fetch_add(1, std::memory_order_relaxed);
-    replay_epochs_.fetch_add(epochs, std::memory_order_relaxed);
-    overlapped_epochs_.fetch_add(overlapped, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] ReplayTelemetrySnapshot snapshot() const noexcept {
     ReplayTelemetrySnapshot s;
     s.classified_blocks = classified_blocks_.load(std::memory_order_relaxed);
     s.classified_addresses = classified_addresses_.load(std::memory_order_relaxed);
-    s.replay_runs = replay_runs_.load(std::memory_order_relaxed);
-    s.replay_epochs = replay_epochs_.load(std::memory_order_relaxed);
-    s.overlapped_epochs = overlapped_epochs_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -54,9 +41,6 @@ class ReplayTelemetry {
 
   std::atomic<std::uint64_t> classified_blocks_{0};
   std::atomic<std::uint64_t> classified_addresses_{0};
-  std::atomic<std::uint64_t> replay_runs_{0};
-  std::atomic<std::uint64_t> replay_epochs_{0};
-  std::atomic<std::uint64_t> overlapped_epochs_{0};
 };
 
 }  // namespace knl::sim

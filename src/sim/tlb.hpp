@@ -110,9 +110,8 @@ class TlbSim {
   std::int32_t tail_ = -1;    // least recently used slot
   std::int32_t filled_ = 0;   // slots in use (fill before evicting)
   std::vector<std::uint64_t> pages_;
-  /// SoA page-number scratch for access_block, lazily allocated on the
-  /// thread that first replays a block (first-touch NUMA locality under the
-  /// sharded replay).
+  /// SoA page-number scratch for access_block, lazily allocated by the
+  /// first block access.
   std::vector<std::uint64_t> soa_pages_;
   std::vector<std::int32_t> lru_prev_;
   std::vector<std::int32_t> lru_next_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
-#include <string>
 
 #include "core/fault/error.hpp"
 #include "core/types.hpp"
@@ -98,106 +97,6 @@ void Dgemm::multiply_blocked(const std::vector<double>& a, const std::vector<dou
       }
     }
   }
-}
-
-namespace {
-
-// One row band [row_begin, row_end) of the tiled kernel: cache blocks over k
-// and j, register-blocked 4x4 micro-tiles inside. Per C element the
-// accumulation order is (k-block ascending, k ascending) on every path —
-// including the i/j remainder loops — so any band decomposition of [0, n)
-// produces bit-identical results.
-void tiled_band(const double* a, const double* b, double* c, std::size_t n,
-                std::size_t row_begin, std::size_t row_end, std::size_t block) {
-  for (std::size_t kk = 0; kk < n; kk += block) {
-    const std::size_t kend = std::min(kk + block, n);
-    for (std::size_t jj = 0; jj < n; jj += block) {
-      const std::size_t jend = std::min(jj + block, n);
-      std::size_t i = row_begin;
-      for (; i + 4 <= row_end; i += 4) {
-        std::size_t j = jj;
-        for (; j + 4 <= jend; j += 4) {
-          // 4x4 micro-kernel: 16 accumulators live in registers across the
-          // whole k extent of this cache block.
-          double c00 = 0, c01 = 0, c02 = 0, c03 = 0;
-          double c10 = 0, c11 = 0, c12 = 0, c13 = 0;
-          double c20 = 0, c21 = 0, c22 = 0, c23 = 0;
-          double c30 = 0, c31 = 0, c32 = 0, c33 = 0;
-          for (std::size_t k = kk; k < kend; ++k) {
-            const double a0 = a[(i + 0) * n + k];
-            const double a1 = a[(i + 1) * n + k];
-            const double a2 = a[(i + 2) * n + k];
-            const double a3 = a[(i + 3) * n + k];
-            const double b0 = b[k * n + j + 0];
-            const double b1 = b[k * n + j + 1];
-            const double b2 = b[k * n + j + 2];
-            const double b3 = b[k * n + j + 3];
-            c00 += a0 * b0; c01 += a0 * b1; c02 += a0 * b2; c03 += a0 * b3;
-            c10 += a1 * b0; c11 += a1 * b1; c12 += a1 * b2; c13 += a1 * b3;
-            c20 += a2 * b0; c21 += a2 * b1; c22 += a2 * b2; c23 += a2 * b3;
-            c30 += a3 * b0; c31 += a3 * b1; c32 += a3 * b2; c33 += a3 * b3;
-          }
-          double* r0 = c + (i + 0) * n + j;
-          double* r1 = c + (i + 1) * n + j;
-          double* r2 = c + (i + 2) * n + j;
-          double* r3 = c + (i + 3) * n + j;
-          r0[0] += c00; r0[1] += c01; r0[2] += c02; r0[3] += c03;
-          r1[0] += c10; r1[1] += c11; r1[2] += c12; r1[3] += c13;
-          r2[0] += c20; r2[1] += c21; r2[2] += c22; r2[3] += c23;
-          r3[0] += c30; r3[1] += c31; r3[2] += c32; r3[3] += c33;
-        }
-        for (; j < jend; ++j) {  // j remainder: 4x1 strip
-          for (std::size_t r = 0; r < 4; ++r) {
-            double acc = 0.0;
-            for (std::size_t k = kk; k < kend; ++k) acc += a[(i + r) * n + k] * b[k * n + j];
-            c[(i + r) * n + j] += acc;
-          }
-        }
-      }
-      for (; i < row_end; ++i) {  // i remainder rows: 1xJ strips
-        for (std::size_t j = jj; j < jend; ++j) {
-          double acc = 0.0;
-          for (std::size_t k = kk; k < kend; ++k) acc += a[i * n + k] * b[k * n + j];
-          c[i * n + j] += acc;
-        }
-      }
-    }
-  }
-}
-
-void check_gemm_args(const std::vector<double>& a, const std::vector<double>& b,
-                     const std::vector<double>& c, std::size_t n, std::size_t block,
-                     const char* who) {
-  if (a.size() != n * n || b.size() != n * n || c.size() != n * n) {
-    throw std::invalid_argument(std::string(who) + ": bad dimensions");
-  }
-  if (block == 0) throw std::invalid_argument(std::string(who) + ": zero block");
-}
-
-}  // namespace
-
-void Dgemm::multiply_tiled(const std::vector<double>& a, const std::vector<double>& b,
-                           std::vector<double>& c, std::size_t n, std::size_t block) {
-  check_gemm_args(a, b, c, n, block, "Dgemm::multiply_tiled");
-  std::fill(c.begin(), c.end(), 0.0);
-  tiled_band(a.data(), b.data(), c.data(), n, 0, n, block);
-}
-
-void Dgemm::multiply_threaded(const std::vector<double>& a, const std::vector<double>& b,
-                              std::vector<double>& c, std::size_t n,
-                              core::ThreadPool& pool, std::size_t block) {
-  check_gemm_args(a, b, c, n, block, "Dgemm::multiply_threaded");
-  std::fill(c.begin(), c.end(), 0.0);
-  // One chunk per `block`-row band: bands write disjoint C rows, and the
-  // per-element accumulation order inside tiled_band is band-independent, so
-  // the result is bit-identical to multiply_tiled for any worker count.
-  const double* ap = a.data();
-  const double* bp = b.data();
-  double* cp = c.data();
-  core::parallel_for(pool, 0, n, block,
-                     [ap, bp, cp, n, block](std::size_t row_begin, std::size_t row_end) {
-                       tiled_band(ap, bp, cp, n, row_begin, row_end, block);
-                     });
 }
 
 void Dgemm::multiply_naive(const std::vector<double>& a, const std::vector<double>& b,

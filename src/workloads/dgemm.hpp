@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace knl::workloads {
@@ -50,22 +49,6 @@ class Dgemm final : public Workload {
   /// Naive reference for validation.
   static void multiply_naive(const std::vector<double>& a, const std::vector<double>& b,
                              std::vector<double>& c, std::size_t n);
-
-  /// Tiled kernel with a register-blocked 4x4 micro-kernel: cache blocking as
-  /// in multiply_blocked, but the inner tile keeps 16 accumulators in
-  /// registers. Every C element accumulates its k-contributions in ascending
-  /// (k-block, k) order on every code path, which is what lets the threaded
-  /// executor below be bit-identical to this serial one.
-  static void multiply_tiled(const std::vector<double>& a, const std::vector<double>& b,
-                             std::vector<double>& c, std::size_t n,
-                             std::size_t block = 64);
-
-  /// Threaded executor: row bands of `block` rows run as independent chunks
-  /// on the pool (disjoint C rows — no synchronization in the hot loop).
-  /// Output is bit-identical to multiply_tiled for any worker count.
-  static void multiply_threaded(const std::vector<double>& a, const std::vector<double>& b,
-                                std::vector<double>& c, std::size_t n,
-                                core::ThreadPool& pool, std::size_t block = 64);
 
  private:
   std::uint64_t n_;

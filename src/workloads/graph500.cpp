@@ -1,7 +1,6 @@
 #include "workloads/graph500.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -100,73 +99,6 @@ std::vector<std::uint64_t> bfs(const CsrGraph& g, std::uint64_t root) {
         }
       }
     }
-    frontier.swap(next);
-  }
-  return parent;
-}
-
-std::vector<std::uint64_t> bfs_parallel(const CsrGraph& g, std::uint64_t root,
-                                        core::ThreadPool& pool, std::size_t grain) {
-  if (root >= g.num_vertices) throw std::invalid_argument("bfs_parallel: root out of range");
-  std::vector<std::uint64_t> parent(g.num_vertices, kUnreached);
-  parent[root] = root;
-
-  // claim[v] = smallest frontier index that reaches unvisited v this level.
-  // Serial BFS parents v from the first frontier vertex whose adjacency scan
-  // hits it — i.e. the minimum frontier index — so the atomic-min race below
-  // elects exactly the serial winner, independent of thread interleaving.
-  // Entries are only consulted in the level they were written: every claimed
-  // vertex is parented in the same level, and the parent check masks it
-  // afterwards, so no cross-level reset is needed.
-  std::vector<std::uint64_t> claim(g.num_vertices, kUnreached);
-
-  std::vector<std::uint64_t> frontier{root};
-  while (!frontier.empty()) {
-    const std::uint64_t* fptr = frontier.data();
-    // Phase 1: race to claim unvisited neighbours with atomic min on the
-    // frontier index. parent[] is stable during this phase (written only in
-    // phase 2), so the unvisited check is a plain read.
-    core::parallel_for(
-        pool, 0, frontier.size(), grain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (std::size_t idx = chunk_begin; idx < chunk_end; ++idx) {
-            const std::uint64_t u = fptr[idx];
-            for (std::uint64_t k = g.offsets[u]; k < g.offsets[u + 1]; ++k) {
-              const std::uint64_t v = g.targets[k];
-              if (parent[v] != kUnreached) continue;
-              std::atomic_ref<std::uint64_t> slot(claim[v]);
-              std::uint64_t seen = slot.load(std::memory_order_relaxed);
-              while (idx < seen &&
-                     !slot.compare_exchange_weak(seen, idx, std::memory_order_relaxed)) {
-              }
-            }
-          }
-        });
-    // Phase 2: winners write parents and build per-chunk next-frontier
-    // buffers; concatenating the buffers in chunk order reproduces the
-    // serial append order exactly (chunks are contiguous frontier ranges).
-    std::vector<std::uint64_t> next = core::parallel_reduce(
-        pool, 0, frontier.size(), grain, std::vector<std::uint64_t>{},
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          std::vector<std::uint64_t> local;
-          for (std::size_t idx = chunk_begin; idx < chunk_end; ++idx) {
-            const std::uint64_t u = fptr[idx];
-            for (std::uint64_t k = g.offsets[u]; k < g.offsets[u + 1]; ++k) {
-              const std::uint64_t v = g.targets[k];
-              // claim[] is stable in this phase; only the winning chunk
-              // touches parent[v], so the write is race-free. The parent
-              // check also collapses multi-edges, as the serial scan does.
-              if (claim[v] != idx || parent[v] != kUnreached) continue;
-              parent[v] = u;
-              local.push_back(v);
-            }
-          }
-          return local;
-        },
-        [](std::vector<std::uint64_t> acc, std::vector<std::uint64_t> chunk) {
-          acc.insert(acc.end(), chunk.begin(), chunk.end());
-          return acc;
-        });
     frontier.swap(next);
   }
   return parent;

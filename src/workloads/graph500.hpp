@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace knl::workloads {
@@ -36,17 +35,6 @@ struct CsrGraph {
 /// Level-synchronous BFS from `root`; returns the parent array
 /// (parent[root] == root; unreached == UINT64_MAX).
 [[nodiscard]] std::vector<std::uint64_t> bfs(const CsrGraph& g, std::uint64_t root);
-
-/// Frontier-parallel level-synchronous BFS: each level partitions the
-/// frontier into `grain`-sized chunks, threads race to claim neighbours with
-/// an atomic min on the claiming vertex's *frontier index* (the deterministic
-/// tie-break — the winner is the same vertex the serial scan would pick),
-/// then per-thread next-frontier buffers are concatenated in chunk order.
-/// The parent array — and every intermediate frontier — is bit-identical to
-/// bfs() for any worker count.
-[[nodiscard]] std::vector<std::uint64_t> bfs_parallel(const CsrGraph& g, std::uint64_t root,
-                                                      core::ThreadPool& pool,
-                                                      std::size_t grain = 512);
 
 /// Graph500-style validation of a BFS parent tree against the graph and
 /// edge list. Returns true if the tree is consistent.

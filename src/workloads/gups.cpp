@@ -1,8 +1,6 @@
 #include "workloads/gups.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -14,19 +12,6 @@ namespace knl::workloads {
 namespace {
 // HPCC RandomAccess polynomial for the GF(2) linear generator.
 constexpr std::uint64_t kPoly = 0x0000000000000007ull;
-
-// Column representation of a linear map over GF(2)^64: columns[j] is the
-// image of basis vector e_j, so applying the map is an xor over set bits.
-using Gf2Matrix = std::array<std::uint64_t, 64>;
-
-std::uint64_t apply_map(const Gf2Matrix& m, std::uint64_t x) {
-  std::uint64_t y = 0;
-  while (x != 0) {
-    y ^= m[static_cast<std::size_t>(std::countr_zero(x))];
-    x &= x - 1;
-  }
-  return y;
-}
 }  // namespace
 
 Gups::Gups(std::uint64_t table_bytes)
@@ -86,24 +71,6 @@ std::uint64_t Gups::next_random(std::uint64_t ran) {
   return (ran << 1) ^ ((static_cast<std::int64_t>(ran) < 0) ? kPoly : 0);
 }
 
-std::uint64_t Gups::advance_random(std::uint64_t seed, std::uint64_t steps) {
-  // next_random is linear over GF(2) (shift xor a top-bit-conditional
-  // constant), so `steps` applications are the matrix power M^steps applied
-  // to the seed — square-and-multiply over 64-column bit matrices.
-  Gf2Matrix base;
-  for (std::size_t j = 0; j < 64; ++j) base[j] = next_random(1ull << j);
-  std::uint64_t result = seed;
-  while (steps != 0) {
-    if (steps & 1) result = apply_map(base, result);
-    steps >>= 1;
-    if (steps == 0) break;
-    Gf2Matrix squared;
-    for (std::size_t j = 0; j < 64; ++j) squared[j] = apply_map(base, base[j]);
-    base = squared;
-  }
-  return result;
-}
-
 void Gups::run_updates(std::vector<std::uint64_t>& table, std::uint64_t count,
                        std::uint64_t seed) {
   if (table.empty() || !std::has_single_bit(table.size())) {
@@ -115,31 +82,6 @@ void Gups::run_updates(std::vector<std::uint64_t>& table, std::uint64_t count,
     ran = next_random(ran);
     table[ran & mask] ^= ran;
   }
-}
-
-void Gups::run_updates_threaded(std::vector<std::uint64_t>& table, std::uint64_t count,
-                                std::uint64_t seed, core::ThreadPool& pool,
-                                std::uint64_t grain) {
-  if (table.empty() || !std::has_single_bit(table.size())) {
-    throw std::invalid_argument(
-        "Gups::run_updates_threaded: table size must be a power of two");
-  }
-  const std::uint64_t mask = table.size() - 1;
-  std::uint64_t* const slots = table.data();
-  core::parallel_for(
-      pool, 0, static_cast<std::size_t>(count), static_cast<std::size_t>(grain),
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        // Jump the stream to this chunk's start: the chunk then replays
-        // exactly the updates the serial loop performs at these indices.
-        std::uint64_t ran = advance_random(seed, chunk_begin);
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          ran = next_random(ran);
-          // Atomic xor: no update is lost under concurrency, and xor
-          // commutes, so the final table matches the serial order exactly.
-          std::atomic_ref<std::uint64_t>(slots[ran & mask])
-              .fetch_xor(ran, std::memory_order_relaxed);
-        }
-      });
 }
 
 void Gups::verify() const {

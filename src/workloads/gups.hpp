@@ -6,19 +6,11 @@
 // the ran = (ran << 1) ^ (poly feedback) LCG over GF(2), 4*n updates. XOR
 // updates are self-inverse, which gives the verification step: replaying
 // the same stream restores the initial table.
-//
-// The threaded executor mirrors HPCC's MPI decomposition: the update stream
-// is split into contiguous index chunks, each chunk jump-starts its private
-// random stream with the O(log n) GF(2) jump-ahead (advance_random), and
-// updates land via atomic fetch-xor. XOR is commutative and atomics lose no
-// updates, so the final table is bit-identical to the serial reference for
-// any worker count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace knl::workloads {
@@ -48,23 +40,9 @@ class Gups final : public Workload {
   /// HPCC random stream: next value of the GF(2) LCG.
   [[nodiscard]] static std::uint64_t next_random(std::uint64_t ran);
 
-  /// Jump-ahead: the value `steps` applications of next_random produce from
-  /// `seed`, in O(log steps) via 64x64 GF(2) matrix exponentiation (the HPCC
-  /// starts() idea generalized to any seed). advance_random(s, 0) == s.
-  [[nodiscard]] static std::uint64_t advance_random(std::uint64_t seed,
-                                                    std::uint64_t steps);
-
   /// Run `count` updates against a real table (used by verify/tests).
   static void run_updates(std::vector<std::uint64_t>& table, std::uint64_t count,
                           std::uint64_t seed);
-
-  /// Threaded executor: same `count` updates from the same logical stream,
-  /// chunked over the pool with per-chunk jump-started streams and atomic
-  /// xor merges. Final table state is bit-identical to run_updates for any
-  /// worker count. `grain` = updates per chunk (worker-count independent).
-  static void run_updates_threaded(std::vector<std::uint64_t>& table, std::uint64_t count,
-                                   std::uint64_t seed, core::ThreadPool& pool,
-                                   std::uint64_t grain = 1 << 16);
 
  private:
   std::uint64_t table_bytes_;

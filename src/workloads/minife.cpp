@@ -74,46 +74,6 @@ void spmv(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>&
   }
 }
 
-void spmv_threaded(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>& y,
-                   core::ThreadPool& pool, std::size_t grain) {
-  if (x.size() != a.rows || y.size() != a.rows) {
-    throw std::invalid_argument("spmv_threaded: vector size mismatch");
-  }
-  core::parallel_for(pool, 0, static_cast<std::size_t>(a.rows), grain,
-                     [&](std::size_t row_begin, std::size_t row_end) {
-                       for (std::size_t row = row_begin; row < row_end; ++row) {
-                         double acc = 0.0;
-                         for (std::uint64_t k = a.row_offsets[row]; k < a.row_offsets[row + 1];
-                              ++k) {
-                           acc += a.vals[k] * x[a.cols[k]];
-                         }
-                         y[row] = acc;
-                       }
-                     });
-}
-
-double dot_threaded(const std::vector<double>& a, const std::vector<double>& b,
-                    core::ThreadPool& pool, std::size_t grain) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot_threaded: size mismatch");
-  return core::parallel_reduce(
-      pool, 0, a.size(), grain, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        double acc = 0.0;
-        for (std::size_t i = begin; i < end; ++i) acc += a[i] * b[i];
-        return acc;
-      },
-      [](double acc, double chunk) { return acc + chunk; });
-}
-
-void axpy_threaded(double alpha, const std::vector<double>& x, std::vector<double>& y,
-                   core::ThreadPool& pool, std::size_t grain) {
-  if (x.size() != y.size()) throw std::invalid_argument("axpy_threaded: size mismatch");
-  core::parallel_for(pool, 0, x.size(), grain,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) y[i] += alpha * x[i];
-                     });
-}
-
 namespace {
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
@@ -207,46 +167,6 @@ CgResult preconditioned_cg(const CsrMatrix& a, const std::vector<double>& b,
     const double beta = rz_new / rz;
     for (std::size_t i = 0; i < p.size(); ++i) p[i] = z[i] + beta * p[i];
     rz = rz_new;
-  }
-  return result;
-}
-
-CgResult conjugate_gradient_threaded(const CsrMatrix& a, const std::vector<double>& b,
-                                     std::vector<double>& x, int max_iters, double tol,
-                                     core::ThreadPool& pool, std::size_t grain) {
-  if (b.size() != a.rows || x.size() != a.rows) {
-    throw std::invalid_argument("conjugate_gradient_threaded: vector size mismatch");
-  }
-  std::vector<double> r = b;
-  std::vector<double> ap(a.rows, 0.0);
-  spmv_threaded(a, x, ap, pool, grain);
-  core::parallel_for(pool, 0, r.size(), grain,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) r[i] -= ap[i];
-                     });
-  std::vector<double> p = r;
-
-  const double b_norm = std::sqrt(dot_threaded(b, b, pool, grain));
-  double rr = dot_threaded(r, r, pool, grain);
-  CgResult result;
-  for (int it = 0; it < max_iters; ++it) {
-    spmv_threaded(a, p, ap, pool, grain);
-    const double alpha = rr / dot_threaded(p, ap, pool, grain);
-    axpy_threaded(alpha, p, x, pool, grain);
-    axpy_threaded(-alpha, ap, r, pool, grain);
-    const double rr_new = dot_threaded(r, r, pool, grain);
-    ++result.iterations;
-    result.final_residual_norm = std::sqrt(rr_new) / (b_norm > 0.0 ? b_norm : 1.0);
-    if (result.final_residual_norm < tol) {
-      result.converged = true;
-      return result;
-    }
-    const double beta = rr_new / rr;
-    core::parallel_for(pool, 0, p.size(), grain,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) p[i] = r[i] + beta * p[i];
-                       });
-    rr = rr_new;
   }
   return result;
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace knl::workloads {
@@ -33,22 +32,6 @@ struct CsrMatrix {
 /// y = A*x.
 void spmv(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>& y);
 
-/// Row-partitioned threaded SpMV: `grain` rows per chunk, disjoint y rows.
-/// Per-row accumulation order matches the serial kernel, so the result is
-/// bit-identical to spmv() for any worker count.
-void spmv_threaded(const CsrMatrix& a, const std::vector<double>& x, std::vector<double>& y,
-                   core::ThreadPool& pool, std::size_t grain = 4096);
-
-/// Deterministic chunked dot product: per-chunk partial sums (serial order
-/// inside a chunk) folded in ascending chunk order. Identical for any worker
-/// count; differs from a flat serial sum only by the chunk reassociation.
-[[nodiscard]] double dot_threaded(const std::vector<double>& a, const std::vector<double>& b,
-                                  core::ThreadPool& pool, std::size_t grain = 1 << 15);
-
-/// Chunked y += alpha*x — elementwise, bit-identical to the serial loop.
-void axpy_threaded(double alpha, const std::vector<double>& x, std::vector<double>& y,
-                   core::ThreadPool& pool, std::size_t grain = 1 << 15);
-
 struct CgResult {
   int iterations = 0;
   double final_residual_norm = 0.0;
@@ -64,16 +47,6 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
 /// diagonally dominant operators.
 CgResult preconditioned_cg(const CsrMatrix& a, const std::vector<double>& b,
                            std::vector<double>& x, int max_iters, double tol);
-
-/// Threaded CG solve: the same iteration as conjugate_gradient with the
-/// SpMV / dot / axpy kernels row-partitioned over the pool. The chunked dot
-/// reductions reassociate the partial sums, so the iterate drifts from the
-/// serial solve within floating-point tolerance (the solver still converges
-/// to the same solution); for a fixed grain the result is bit-identical
-/// across worker counts.
-CgResult conjugate_gradient_threaded(const CsrMatrix& a, const std::vector<double>& b,
-                                     std::vector<double>& x, int max_iters, double tol,
-                                     core::ThreadPool& pool, std::size_t grain = 4096);
 
 class MiniFe final : public Workload {
  public:

@@ -158,62 +158,6 @@ int sample_material(const MaterialSet& set, double u) {
   return static_cast<int>(set.probabilities.size()) - 1;
 }
 
-namespace {
-
-// splitmix64: the standard 64-bit finalizer, used as a counter-based RNG so
-// lookup i is a pure function of (seed, i) — replayable from any index.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Uniform double in [0, 1) from the top 53 bits.
-double to_unit_double(std::uint64_t x) {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-LookupStats run_lookup_range(const XsData& data, const MaterialSet& set,
-                             std::uint64_t begin, std::uint64_t end, std::uint64_t seed) {
-  LookupStats stats;
-  double xs[5];
-  for (std::uint64_t i = begin; i < end; ++i) {
-    const double e = to_unit_double(splitmix64(seed ^ (2 * i)));
-    const int m = sample_material(set, to_unit_double(splitmix64(seed ^ (2 * i + 1))));
-    lookup_macro_xs(data, e, set.materials[static_cast<std::size_t>(m)], xs);
-    stats.checksum += xs[0] + xs[4];
-    ++stats.lookups;
-    ++stats.material_hits[static_cast<std::size_t>(m)];
-  }
-  return stats;
-}
-
-}  // namespace
-
-LookupStats run_lookups_indexed(const XsData& data, const MaterialSet& set,
-                                std::uint64_t count, std::uint64_t seed) {
-  return run_lookup_range(data, set, 0, count, seed);
-}
-
-LookupStats run_lookups_threaded(const XsData& data, const MaterialSet& set,
-                                 std::uint64_t count, std::uint64_t seed,
-                                 core::ThreadPool& pool, std::size_t grain) {
-  return core::parallel_reduce(
-      pool, 0, static_cast<std::size_t>(count), grain, LookupStats{},
-      [&](std::size_t begin, std::size_t end) {
-        return run_lookup_range(data, set, begin, end, seed);
-      },
-      [](LookupStats acc, const LookupStats& chunk) {
-        acc.checksum += chunk.checksum;
-        acc.lookups += chunk.lookups;
-        for (std::size_t m = 0; m < acc.material_hits.size(); ++m) {
-          acc.material_hits[m] += chunk.material_hits[m];
-        }
-        return acc;
-      });
-}
-
 double run_lookups(const XsData& data, const MaterialSet& set, std::uint64_t count,
                    std::uint64_t seed) {
   std::mt19937_64 rng(seed);

@@ -12,11 +12,10 @@
 // points, interpolating 5 channels — random reads with small granules.
 #pragma once
 
-#include <array>
+#include <utility>
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace knl::workloads {
@@ -67,32 +66,6 @@ struct MaterialSet {
 /// (the reference's verification hash, simplified).
 [[nodiscard]] double run_lookups(const XsData& data, const MaterialSet& set,
                                  std::uint64_t count, std::uint64_t seed);
-
-/// Result of a counter-based lookup run: the FP verification checksum plus
-/// the integer per-material hit counters the threaded/serial equivalence
-/// contract compares exactly.
-struct LookupStats {
-  double checksum = 0.0;
-  std::uint64_t lookups = 0;
-  std::array<std::uint64_t, 12> material_hits{};  ///< lookups per material
-};
-
-/// Serial reference with a counter-based random stream: lookup i derives its
-/// energy and material from splitmix64(seed, i) alone, so any index range
-/// can be replayed independently — the property the threaded executor
-/// partitions on.
-[[nodiscard]] LookupStats run_lookups_indexed(const XsData& data, const MaterialSet& set,
-                                              std::uint64_t count, std::uint64_t seed);
-
-/// Threaded executor: partitions the lookup index range over the pool,
-/// accumulating per-chunk LookupStats folded in chunk order. Integer hit
-/// counters are exactly equal to run_lookups_indexed; the checksum matches
-/// within FP-reassociation tolerance of the serial sum and is bit-identical
-/// across worker counts for a fixed grain.
-[[nodiscard]] LookupStats run_lookups_threaded(const XsData& data, const MaterialSet& set,
-                                               std::uint64_t count, std::uint64_t seed,
-                                               core::ThreadPool& pool,
-                                               std::size_t grain = 1 << 14);
 
 class XsBench final : public Workload {
  public:

@@ -74,7 +74,7 @@ TEST(ErrorTaxonomy, IsTransientKeysOnCategoryAndDynamicType) {
 TEST(FaultPlan, ParsesSeedAndSiteClauses) {
   const FaultPlan plan = FaultPlan::parse(
       "seed=42;site=sweep-cell,rate=0.15,kind=transient,attempts=2;"
-      "site=json-write,every=3,kind=resource;site=replay-epoch,key=7");
+      "site=json-write,every=3,kind=resource;site=http-read,key=7");
   EXPECT_EQ(plan.seed, 42u);
   ASSERT_EQ(plan.sites.size(), 3u);
   EXPECT_EQ(plan.sites[0].site, "sweep-cell");

@@ -14,11 +14,13 @@
 // re-parameterizes a shipped profile fails this suite.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "core/machine.hpp"
 #include "core/machine_config.hpp"
 #include "core/machine_profiles.hpp"
 #include "sim/topology.hpp"
@@ -122,6 +124,28 @@ TEST(FingerprintTopology, ShippedMachineFilesMatchTheirBuilders) {
     // Note: fingerprints may legitimately differ (xeon_max's builder also
     // retunes the core complex), but the declared hierarchy may not.
   }
+}
+
+TEST(FingerprintTopology, MachineCachesItsConfigFingerprint) {
+  // Machine computes the hash once at construction; it must be the config's.
+  const MachineConfig presets[] = {
+      MachineConfig::knl7210(),      MachineConfig::knl7210_equal_latency(),
+      MachineConfig::knl7210_snc4(), MachineConfig::ddr_only(),
+      MachineConfig::xeon_max(),     MachineConfig::knl_nvm(),
+  };
+  for (const MachineConfig& cfg : presets) {
+    EXPECT_EQ(Machine(cfg).fingerprint(), cfg.fingerprint()) << cfg.topology.name;
+  }
+  std::size_t machine_files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(KNLMEM_REPO_DIR) + "/machines")) {
+    if (entry.path().extension() != ".machine") continue;
+    ++machine_files;
+    const MachineConfig cfg = MachineConfig::from_machine_file(
+        read_file("machines/" + entry.path().filename().string()));
+    EXPECT_EQ(Machine(cfg).fingerprint(), cfg.fingerprint()) << entry.path();
+  }
+  EXPECT_GE(machine_files, 3u);
 }
 
 TEST(FingerprintTopology, ProfileRegistryIsWellFormed) {

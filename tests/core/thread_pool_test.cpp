@@ -74,140 +74,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   }
 }
 
-TEST(SplitRange, EmptyRangeYieldsNoChunks) {
-  EXPECT_TRUE(split_range(0, 0, 4).empty());
-  EXPECT_TRUE(split_range(10, 10, 4).empty());
-  EXPECT_TRUE(split_range(10, 5, 4).empty());  // inverted: treated as empty
-}
-
-TEST(SplitRange, GrainLargerThanRangeIsOneChunk) {
-  const auto chunks = split_range(3, 10, 100);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].begin, 3u);
-  EXPECT_EQ(chunks[0].end, 10u);
-}
-
-TEST(SplitRange, ChunksTileTheRangeInOrder) {
-  const auto chunks = split_range(0, 10, 3);
-  ASSERT_EQ(chunks.size(), 4u);  // 3+3+3+1
-  std::size_t expected_begin = 0;
-  for (const auto& chunk : chunks) {
-    EXPECT_EQ(chunk.begin, expected_begin);
-    EXPECT_GT(chunk.end, chunk.begin);
-    expected_begin = chunk.end;
-  }
-  EXPECT_EQ(chunks.back().end, 10u);
-}
-
-TEST(SplitRange, ZeroGrainThrows) {
-  EXPECT_THROW((void)split_range(0, 10, 0), std::invalid_argument);
-}
-
-TEST(ParallelFor, EmptyRangeInvokesNothing) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  parallel_for(pool, 5, 5, 2, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelFor, RangeSmallerThanGrainRunsInline) {
-  ThreadPool pool(2);
-  const auto main_thread = std::this_thread::get_id();
-  std::thread::id chunk_thread;
-  parallel_for(pool, 0, 3, 100,
-               [&](std::size_t begin, std::size_t end) {
-                 EXPECT_EQ(begin, 0u);
-                 EXPECT_EQ(end, 3u);
-                 chunk_thread = std::this_thread::get_id();
-               });
-  EXPECT_EQ(chunk_thread, main_thread);  // single chunk: no pool round-trip
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(pool, 0, n, 37, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, ChunkExceptionPropagates) {
-  ThreadPool pool(3);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      parallel_for(pool, 0, 100, 10,
-                   [&](std::size_t begin, std::size_t) {
-                     if (begin == 50) throw std::runtime_error("chunk 5 failed");
-                     completed.fetch_add(1);
-                   }),
-      std::runtime_error);
-  // Every other chunk still ran to completion before the rethrow.
-  EXPECT_EQ(completed.load(), 9);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const double result = parallel_reduce(
-      pool, 7, 7, 3, 42.0, [](std::size_t, std::size_t) { return 1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(result, 42.0);
-}
-
-TEST(ParallelReduce, SumsChunksInChunkOrder) {
-  ThreadPool pool(4);
-  // Record chunk begins in combine order: must be ascending regardless of
-  // which worker finished first.
-  const auto order = parallel_reduce(
-      pool, 0, 100, 9, std::vector<std::size_t>{},
-      [](std::size_t begin, std::size_t) { return std::vector<std::size_t>{begin}; },
-      [](std::vector<std::size_t> acc, std::vector<std::size_t> chunk) {
-        acc.insert(acc.end(), chunk.begin(), chunk.end());
-        return acc;
-      });
-  ASSERT_EQ(order.size(), 12u);
-  for (std::size_t i = 1; i < order.size(); ++i) EXPECT_LT(order[i - 1], order[i]);
-}
-
-TEST(ParallelReduce, FloatingPointDeterministicAcrossWorkerCounts) {
-  // The chunk boundaries and combine order depend only on (range, grain), so
-  // the reassociated FP sum must be bit-identical for 1, 2 and 7 workers.
-  std::vector<double> values(10'000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.0 / static_cast<double>(i + 1) * ((i % 2 == 0) ? 1.0 : -1.0);
-  }
-  const auto sum_with = [&](unsigned workers) {
-    ThreadPool pool(workers);
-    return parallel_reduce(
-        pool, 0, values.size(), 123, 0.0,
-        [&](std::size_t begin, std::size_t end) {
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += values[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double one = sum_with(1);
-  const double two = sum_with(2);
-  const double seven = sum_with(7);
-  EXPECT_EQ(one, two);  // bit-identical, not just close
-  EXPECT_EQ(one, seven);
-}
-
-TEST(ParallelReduce, ChunkExceptionPropagates) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      (void)parallel_reduce(
-          pool, 0, 40, 10, 0,
-          [](std::size_t begin, std::size_t) -> int {
-            if (begin == 20) throw std::runtime_error("bad chunk");
-            return 1;
-          },
-          [](int a, int b) { return a + b; }),
-      std::runtime_error);
-}
-
 TEST(ThreadPool, WorkersCanSubmitWithoutDeadlock) {
   // A task fans out follow-up work from inside a worker (it must not wait on
   // those futures — on a 1-worker pool that would self-deadlock; the drain

@@ -1,73 +1,10 @@
-// Tests for the shared replay-statistics vocabulary, in particular the
-// merge() reduction the sharded ParallelReplay uses to combine per-core
-// counters.
+// Tests for the shared replay-statistics vocabulary.
 #include "sim/replay_stats.hpp"
 
 #include <gtest/gtest.h>
 
 namespace knl::sim {
 namespace {
-
-ReplayCounters make_counters(std::uint64_t base) {
-  ReplayCounters c;
-  c.accesses = base + 1;
-  c.l1_hits = base + 2;
-  c.l2_hits = base + 3;
-  c.memory_accesses = base + 4;
-  c.tlb_misses = base + 5;
-  c.mcdram_hits = base + 6;
-  return c;
-}
-
-TEST(ReplayCounters, MergeAccumulatesEveryField) {
-  ReplayCounters total = make_counters(10);
-  total.merge(make_counters(100));
-  EXPECT_EQ(total.accesses, 10u + 1 + 100 + 1);
-  EXPECT_EQ(total.l1_hits, 10u + 2 + 100 + 2);
-  EXPECT_EQ(total.l2_hits, 10u + 3 + 100 + 3);
-  EXPECT_EQ(total.memory_accesses, 10u + 4 + 100 + 4);
-  EXPECT_EQ(total.tlb_misses, 10u + 5 + 100 + 5);
-  EXPECT_EQ(total.mcdram_hits, 10u + 6 + 100 + 6);
-}
-
-TEST(ReplayCounters, MergeWithEmptyIsIdentity) {
-  ReplayCounters total = make_counters(7);
-  const ReplayCounters before = total;
-  total.merge(ReplayCounters{});
-  EXPECT_EQ(total.accesses, before.accesses);
-  EXPECT_EQ(total.mcdram_hits, before.mcdram_hits);
-}
-
-TEST(ReplayCounters, MergeReturnsSelfForChaining) {
-  ReplayCounters total;
-  total.merge(make_counters(0)).merge(make_counters(0)).merge(make_counters(0));
-  EXPECT_EQ(total.accesses, 3u);
-  EXPECT_EQ(total.mcdram_hits, 18u);
-}
-
-TEST(ReplayCounters, ShardedReductionMatchesSequentialCount) {
-  // Simulate the reducer: per-core shards merged in core order equal the
-  // single global tally.
-  ReplayCounters shards[4] = {make_counters(1), make_counters(2), make_counters(3),
-                              make_counters(4)};
-  ReplayCounters merged;
-  for (const auto& shard : shards) merged.merge(shard);
-  ReplayCounters sequential;
-  for (const auto& shard : shards) {
-    sequential.accesses += shard.accesses;
-    sequential.l1_hits += shard.l1_hits;
-    sequential.l2_hits += shard.l2_hits;
-    sequential.memory_accesses += shard.memory_accesses;
-    sequential.tlb_misses += shard.tlb_misses;
-    sequential.mcdram_hits += shard.mcdram_hits;
-  }
-  EXPECT_EQ(merged.accesses, sequential.accesses);
-  EXPECT_EQ(merged.l1_hits, sequential.l1_hits);
-  EXPECT_EQ(merged.l2_hits, sequential.l2_hits);
-  EXPECT_EQ(merged.memory_accesses, sequential.memory_accesses);
-  EXPECT_EQ(merged.tlb_misses, sequential.tlb_misses);
-  EXPECT_EQ(merged.mcdram_hits, sequential.mcdram_hits);
-}
 
 TEST(ReplayStats, DerivedRatesFromCounters) {
   ReplayStats stats;
