@@ -35,8 +35,7 @@ void ParallelReplay::reset() {
   cores_.clear();
   cores_.reserve(static_cast<std::size_t>(config_.cores));
   for (int c = 0; c < config_.cores; ++c) {
-    Core core{CacheSim(config_.l1), CacheSim(config_.l2), TlbSim(config_.tlb), {}, 0.0,
-              0};
+    Core core{CacheSim(config_.l1), CacheSim(config_.l2), TlbSim(config_.tlb), {}, 0.0};
     core.mshr_free_at.assign(static_cast<std::size_t>(config_.mshrs_per_core), 0.0);
     cores_.push_back(std::move(core));
   }
@@ -53,14 +52,14 @@ ParallelReplayStats ParallelReplay::replay(
 
   // Round-robin lock-step: each round, every core issues its next access.
   bool progressed = true;
-  while (progressed) {
+  for (std::size_t position = 0; progressed; ++position) {
     progressed = false;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
       Core& core = cores_[c];
       const auto& stream = streams[c];
-      if (core.position >= stream.size()) continue;
+      if (position >= stream.size()) continue;
       progressed = true;
-      const std::uint64_t addr = stream[core.position++];
+      const std::uint64_t addr = stream[position];
       ++stats.accesses;
 
       core.issue_cursor += config_.issue_ns;

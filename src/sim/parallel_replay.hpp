@@ -53,9 +53,10 @@ class ParallelReplay {
   explicit ParallelReplay(ParallelReplayConfig config);
 
   /// Replay one independent access stream per core (streams may differ in
-  /// length; shorter cores idle). Returns aggregate statistics. Caches,
-  /// MSHRs, issue cursors, the bandwidth budget and stream positions carry
-  /// over to the next call until reset().
+  /// length; shorter cores idle), each from its first entry. Returns this
+  /// call's aggregate counters; `seconds` is when its last access completes
+  /// on the simulated clock. Caches, TLBs, MSHRs, issue cursors (that clock)
+  /// and the bandwidth budget stay warm into the next call until reset().
   ParallelReplayStats replay(const std::vector<std::vector<std::uint64_t>>& streams);
 
   /// Effective bandwidth cap applied to this replay (GB/s).
@@ -72,7 +73,6 @@ class ParallelReplay {
     TlbSim tlb;
     std::vector<double> mshr_free_at;
     double issue_cursor = 0.0;
-    std::size_t position = 0;  // next index in its stream
   };
 
   ParallelReplayConfig config_;

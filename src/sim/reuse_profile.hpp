@@ -23,7 +23,10 @@
 //               few positions ahead. The slab doubles its row capacity once
 //               it is half full on average; until then a row deeper than
 //               the capacity continues in a spill tail of its own, so
-//               working memory stays O(distinct tags) under any skew. The
+//               working memory stays O(distinct tags) under any skew. When
+//               the whole trace is known up front (profile_trace), the rows
+//               start as wide as the trace's tag bound if that slab is no
+//               larger than the trace, and then never spill or regrow. The
 //               sweep-grid case: many sets keep each row a few dozen tags.
 //   - kFenwick: per-set append-only Fenwick tree counting latest-occurrence
 //               marks (Bennett-Kruskal); distance = marks in (last, now].
@@ -78,6 +81,16 @@ class ReuseProfile {
   void observe(std::span<const std::uint64_t> addrs) {
     observe(addrs.data(), addrs.size());
   }
+
+  /// Size the kMtf rows, before the first observe(), for a trace of `n`
+  /// addresses none above `max_address`. Every tag such a trace can carry is
+  /// below (max_address / line_bytes) / num_sets + 1, its tag bound, so rows
+  /// that wide never spill or regrow. Taken only when that slab costs no
+  /// more than the trace (sampled sets x tag bound <= n: at most 8 B per
+  /// address); otherwise, and on kFenwick, the rows start small and double.
+  /// Sizing only: any stream may still be observed, with identical results.
+  /// Throws std::logic_error once observing has begun.
+  void reserve_rows(std::uint64_t max_address, std::uint64_t n);
 
   [[nodiscard]] const ReuseProfileConfig& config() const noexcept { return config_; }
   /// Accesses that fell in sampled (and shard-owned) sets — the denominator
@@ -147,6 +160,8 @@ class ReuseProfile {
   /// Sets this profile owns: the sampled sets of its shard phase, row r
   /// being sampled index r * shard_stride + shard_phase.
   std::uint64_t num_rows_ = 0;
+  /// Row capacity of the first slab; 0 = kInitialRowCap (see reserve_rows).
+  std::uint64_t reserved_row_cap_ = 0;
   bool sealed_ = false;
 
   std::uint64_t sampled_ = 0;
@@ -175,7 +190,8 @@ class ReuseProfile {
 /// sampled-set ownership (sampled_index % shards; each shard holds only its
 /// own rows). Distances are per-set, so the merged result is bit-identical
 /// to a serial observe() for every worker count. workers <= 1 profiles
-/// inline. The result is sealed: it holds the answer, no working state.
+/// inline. Each pass's rows are sized by reserve_rows() from one max over
+/// `addrs`. The result is sealed: it holds the answer, no working state.
 [[nodiscard]] ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
                                          const ReuseProfileConfig& config,
                                          int workers = 1);

@@ -13,12 +13,20 @@
 //   - callback (legacy): the generate_* free functions keep the original
 //     per-address AddressVisitor signature as thin adapters over the
 //     chunked generators.
+//
+// Determinism contract: every stream is a pure function of the generator's
+// arguments, on any standard library. The random draws come from the in-repo
+// Mt19937_64, not from <random>: the standard fixes std::mt19937_64's output
+// but leaves std::uniform_int_distribution's algorithm to the implementation,
+// so the same seed would give other addresses under another library.
+// Mt19937_64::below() fixes that algorithm (libstdc++'s), which keeps every
+// stream equal to the one the std pair produced under libstdc++.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <vector>
 
 namespace knl::trace {
@@ -28,6 +36,48 @@ using AddressVisitor = std::function<void(std::uint64_t addr)>;
 /// Default chunk capacity: 4 K addresses = 32 KiB, L1-resident so the
 /// generator->simulator hand-off stays in cache.
 inline constexpr std::size_t kAddressChunk = 4096;
+
+/// MT19937-64, output for output equal to std::mt19937_64 with the same
+/// seed. It twists the whole 312-word state at once and tempers the block
+/// into a buffer that operator() then reads, so a draw is a load and an
+/// index bump.
+class Mt19937_64 {
+ public:
+  explicit Mt19937_64(std::uint64_t seed);
+
+  std::uint64_t operator()() {
+    if (next_ == kStateWords) refill();
+    return block_[next_++];
+  }
+
+  /// A uniform draw in [0, range), range >= 1: the draws
+  /// std::uniform_int_distribution<T>(0, range - 1) makes under libstdc++
+  /// for T = std::uint64_t or std::uint32_t (Lemire's multiply-and-reject;
+  /// the rejection threshold is computed only when the low word could fall
+  /// under it).
+  std::uint64_t below(std::uint64_t range) {
+    __extension__ typedef unsigned __int128 Wide;
+    Wide product = static_cast<Wide>((*this)()) * range;
+    auto low = static_cast<std::uint64_t>(product);
+    if (low < range) {
+      const std::uint64_t threshold = (0 - range) % range;
+      while (low < threshold) {
+        product = static_cast<Wide>((*this)()) * range;
+        low = static_cast<std::uint64_t>(product);
+      }
+    }
+    return static_cast<std::uint64_t>(product >> 64);
+  }
+
+ private:
+  static constexpr std::size_t kStateWords = 312;
+  /// Twist the state and temper it into block_.
+  void refill();
+
+  std::array<std::uint64_t, kStateWords> state_{};
+  std::array<std::uint64_t, kStateWords> block_{};
+  std::size_t next_ = kStateWords;
+};
 
 /// `sweeps` sequential line-granular passes over [base, base+bytes).
 class SweepGenerator {
@@ -70,9 +120,9 @@ class UniformRandomGenerator {
 
  private:
   std::uint64_t base_;
+  std::uint64_t bytes_;
   std::uint64_t remaining_;
-  std::mt19937_64 rng_;
-  std::uniform_int_distribution<std::uint64_t> dist_;
+  Mt19937_64 rng_;
 };
 
 /// Replay steps of a pointer chase over slots of `slot_bytes` at `base`.

@@ -11,7 +11,12 @@
 // Determinism contract: the stream is a pure function of (profile fields,
 // SynthOptions). Same inputs -> bit-identical addresses, which is what lets
 // profiling passes be fingerprinted and cached (SweepCache) and lets the
-// single-pass and per-cell engines replay the *same* trace.
+// single-pass and per-cell engines replay the *same* trace. That holds
+// across standard libraries too: the random and chase phases draw from the
+// in-repo Mt19937_64 (trace/generators.hpp), not from <random>'s
+// distributions, whose algorithms the standard leaves to the
+// implementation. tests/trace/synth_test.cpp pins every registry
+// workload's stream by digest.
 #pragma once
 
 #include <cstdint>

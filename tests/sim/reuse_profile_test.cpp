@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/cache.hpp"
+#include "sim/simd.hpp"
 #include "sim/tlb.hpp"
 #include "trace/generators.hpp"
+#include "trace/synth.hpp"
+#include "workloads/gups.hpp"
+#include "workloads/registry.hpp"
+#include "workloads/stream.hpp"
 
 namespace knl::sim {
 namespace {
@@ -229,6 +235,89 @@ TEST(ReuseProfile, SplitObserveAcrossSlabGrowth) {
       expect_same_profile(whole, pieces);
     }
   }
+}
+
+/// A profile whose rows were sized for `addrs` by reserve_rows(), as
+/// profile_trace() sizes its passes, then fed the whole stream.
+ReuseProfile presized(const std::vector<std::uint64_t>& addrs,
+                      const ReuseProfileConfig& config) {
+  ReuseProfile profile(config);
+  profile.reserve_rows(*std::max_element(addrs.begin(), addrs.end()), addrs.size());
+  profile.observe(addrs.data(), addrs.size());
+  return profile;
+}
+
+TEST(ReuseProfile, PresizedProfileTraceMatchesPlainObserveOnRegistryTraces) {
+  // profile_trace sizes every shard's rows to the trace's tag bound; the
+  // histograms must not notice, whichever workload made the trace, whether
+  // the bound was taken or declined, and at any worker count. At 8 MiB and
+  // 2^16 addresses the sampled geometry always takes the bound; the
+  // unsampled ones decline it on the traces that span all 8 MiB (GUPS,
+  // Graph500, XSBench, the latency probe: 2^17 slots > 2^16 addresses).
+  trace::SynthOptions options;
+  options.max_addresses = 1u << 16;
+  for (const auto& entry : workloads::registry()) {
+    const std::vector<std::uint64_t> addrs =
+        trace::synthesize_trace(entry.make(8ull << 20)->profile(), options);
+    for (const ReuseProfileConfig& config :
+         {geometry(4096, 1), geometry(8192, 4), geometry(1024, 1, ReuseStrategy::kMtf)}) {
+      const ReuseProfile plain = observed(addrs, config);
+      for (const int workers : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << entry.info.name << " sets=" << config.num_sets
+                                        << " sample=" << config.sample_every << " "
+                                        << workers << " workers");
+        expect_same_profile(plain,
+                            profile_trace(addrs.data(), addrs.size(), config, workers));
+      }
+    }
+  }
+}
+
+TEST(ReuseProfile, PresizedCapacityGridRowsNeverRegrow) {
+  // The capacity benchmark's two grids: 2^18 addresses over 8192 sets, GUPS
+  // over 16 MiB (tags below 16 MiB / 64 B / 8192 = 32) and STREAM over
+  // 4 MiB (tags below 8, every set sweeping all of them). Rows as wide as
+  // the tag bound take every distinct tag, so the slab is sized once, never
+  // spills or regrows, and holds at most one 8-byte slot per address
+  // (GUPS: 2 MiB).
+  trace::SynthOptions options;
+  options.max_addresses = 1u << 18;
+  for (const trace::AccessProfile& workload :
+       {workloads::Gups(16ull << 20).profile(), workloads::StreamTriad(4ull << 20).profile()}) {
+    SCOPED_TRACE(workload.name());
+    const std::vector<std::uint64_t> addrs = trace::synthesize_trace(workload, options);
+    const ReuseProfileConfig config = geometry(8192, 1);
+    const ReuseProfile profile = presized(addrs, config);
+    expect_same_profile(observed(addrs, config), profile);
+
+    ReuseProfile first(config);
+    first.reserve_rows(*std::max_element(addrs.begin(), addrs.end()), addrs.size());
+    first.observe(addrs.data(), 1);
+    EXPECT_EQ(profile.working_bytes(), first.working_bytes());
+    const std::size_t depth_and_scratch =
+        (config.num_sets + 2 * simd::kSoaChunk) * sizeof(std::uint64_t);
+    EXPECT_LE(profile.working_bytes(),
+              addrs.size() * sizeof(std::uint64_t) + depth_and_scratch);
+  }
+}
+
+TEST(ReuseProfile, FootprintFarLargerThanTheTraceKeepsDoublingRows) {
+  // 2^14 addresses over 1 GiB: rows as wide as the tag bound (4096 tags
+  // over 4096 sets) would cost 1024 slots per address, so the sizing is
+  // declined and the slab starts small and doubles exactly as plain
+  // observe() does.
+  std::mt19937_64 rng(53);
+  std::vector<std::uint64_t> addrs;
+  for (int i = 0; i < (1 << 14); ++i) addrs.push_back(rng() % (1ull << 30));
+  const ReuseProfileConfig config = geometry(4096, 1, ReuseStrategy::kMtf);
+  const ReuseProfile plain = observed(addrs, config);
+  const ReuseProfile profile = presized(addrs, config);
+  expect_same_profile(plain, profile);
+  EXPECT_EQ(profile.working_bytes(), plain.working_bytes());
+  EXPECT_GT(profile.working_bytes(), observed({addrs.front()}, config).working_bytes());
+
+  ReuseProfile started = observed(addrs, config);
+  EXPECT_THROW(started.reserve_rows(addrs.front(), addrs.size()), std::logic_error);
 }
 
 TEST(ReuseProfile, NonPow2SetsTakeTheSlabThroughTheScalarPath) {

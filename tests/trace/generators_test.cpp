@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -132,9 +134,10 @@ TEST(Generators, ChunkedMatchesCallbackOnAllGenerators) {
     EXPECT_EQ(drain(strided, capacity), via_callback([&](auto&& v) {
                 return generate_strided(0, 5000, 192, 2, v);
               }));
-    UniformRandomGenerator random(64, 4096, 333, 17);
+    // 5000 draws cross Mt19937_64's 312-word blocks at many chunk offsets.
+    UniformRandomGenerator random(64, 4096, 5000, 17);
     EXPECT_EQ(drain(random, capacity), via_callback([&](auto&& v) {
-                return generate_uniform_random(64, 4096, 333, 17, v);
+                return generate_uniform_random(64, 4096, 5000, 17, v);
               }));
     ChaseGenerator chase(0, next, 64, 200);
     EXPECT_EQ(drain(chase, capacity), via_callback([&](auto&& v) {
@@ -142,6 +145,40 @@ TEST(Generators, ChunkedMatchesCallbackOnAllGenerators) {
               }));
   }
 }
+
+TEST(Mt19937_64, MatchesTheStandardsKnownAnswer) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-constructed
+  // mt19937_64 (seed 5489) produces 9981545732273789042.
+  Mt19937_64 rng(5489);
+  std::uint64_t x = 0;
+  for (int i = 0; i < 10000; ++i) x = rng();
+  EXPECT_EQ(x, 9981545732273789042ull);
+}
+
+#ifdef __GLIBCXX__
+TEST(Mt19937_64, DrawsEqualLibstdcxxUniformIntDistribution) {
+  // below() is libstdc++'s uniform_int_distribution algorithm; 2^63 + 1
+  // rejects about half the raw draws, exercising the retry loop.
+  constexpr std::uint64_t kRanges[] = {1, 3, 1ull << 24, 12345677, (1ull << 63) + 1};
+  for (const std::uint64_t seed : {0ull, 9ull, 5489ull, 0x9E3779B97F4A7C15ull}) {
+    for (const std::uint64_t range : kRanges) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " range " << range);
+      std::mt19937_64 std_rng(seed);
+      Mt19937_64 rng(seed);
+      std::uniform_int_distribution<std::uint64_t> wide(0, range - 1);
+      for (int i = 0; i < 2000; ++i) ASSERT_EQ(rng.below(range), wide(std_rng)) << i;
+      // The raw streams stay in step after the draws.
+      ASSERT_EQ(rng(), std_rng());
+      if (range > std::numeric_limits<std::uint32_t>::max()) continue;
+      std::mt19937_64 std_rng32(seed);
+      Mt19937_64 rng32(seed);
+      std::uniform_int_distribution<std::uint32_t> narrow(
+          0, static_cast<std::uint32_t>(range - 1));
+      for (int i = 0; i < 2000; ++i) ASSERT_EQ(rng32.below(range), narrow(std_rng32)) << i;
+    }
+  }
+}
+#endif
 
 TEST(Generators, CollectAddressesGathersWholeStream) {
   StridedGenerator gen(0, 1024, 256, 2);
