@@ -1,7 +1,7 @@
 // Internal-validation bench: the analytic Little's-law TimingModel vs the
 // discrete trace-driven simulator (TraceMachine) on the same machine
 // parameters. The two are independent implementations of the memory
-// system; agreement is the evidence that the figure benches rest on a
+// system; agreement is the evidence that the paper's figures rest on a
 // consistent model rather than hand-picked numbers.
 #include <algorithm>
 #include <cstdio>
@@ -13,8 +13,10 @@
 #include "trace/generators.hpp"
 
 int main(int argc, char** argv) {
-  // Uniform bench CLI: no sweep here, flags accepted for consistency.
-  (void)knl::bench::parse_args(argc, argv);
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   using namespace knl;
   using namespace knl::sim;
 

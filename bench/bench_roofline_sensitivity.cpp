@@ -13,8 +13,10 @@
 #include "workloads/xsbench.hpp"
 
 int main(int argc, char** argv) {
-  // Uniform bench CLI: no sweep here, flags accepted for consistency.
-  (void)knl::bench::parse_args(argc, argv);
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   using namespace knl;
   Machine machine;
 

@@ -15,9 +15,9 @@
 // replays the identical log.
 //
 // The default run is deliberately small: the measurement harness executes
-// every binary in build/bench/ with no arguments. Regenerate the checked-in
-// baseline with `cmake --build build --target bench_service_json`
-// (10k clients), or gate CI with --check-p99-ms / zero-error enforcement.
+// every binary in build/bench/ with no arguments. Scale it up with
+// --clients/--requests, or gate CI with --check-p99-ms / zero-error
+// enforcement; tracked throughput numbers come from perfbench.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>

@@ -10,9 +10,8 @@
 //               SweepCache, so the sweep is pure histogram arithmetic
 //
 // The default run is deliberately small (the measurement harness executes
-// every binary in build/bench/ with no arguments). The checked-in baseline
-// is captured with `cmake --build build-release --target bench_sweep_json`,
-// which runs `--preset full`. `--check` exits 1 when the two engines
+// every binary in build/bench/ with no arguments); `--preset full` runs the
+// paper-scale grids. `--check` exits 1 when the two engines
 // disagree on any cell — CI's chaos job runs it under KNL_FAULT_PLAN to
 // prove fault recovery never changes results.
 #include <algorithm>

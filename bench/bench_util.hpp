@@ -1,100 +1,16 @@
 // Shared helpers for the bench binaries: a uniform print format so
-// EXPERIMENTS.md can quote bench output directly, the common CLI every
-// bench binary speaks (--jobs N for the parallel sweep engine, --cache FILE
-// for the persistent memoization cache), and the thin main() every
-// figure/table reproduction binary delegates to — the sweep grids and
-// expected shapes themselves live once, in the src/repro/ experiment
-// registry.
+// EXPERIMENTS.md can quote bench output directly. The paper's figures and
+// tables run through `knl-repro run --only <id>`; these binaries hold the
+// ablations and extensions the registry does not carry.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "core/fault/error.hpp"
-#include "core/fault/fault_injection.hpp"
-#include "core/machine.hpp"
 #include "report/figure.hpp"
-#include "report/sweep.hpp"
-#include "repro/experiment.hpp"
-#include "repro/pipeline.hpp"
 
 namespace knl::bench {
-
-/// Options parsed from the uniform bench CLI.
-struct BenchOptions {
-  /// Sweep worker threads: 0 = one per hardware thread (the default), 1 =
-  /// serial, N = N workers.
-  int jobs = 0;
-  /// Path of a persistent sweep-result cache; empty = in-memory only.
-  std::string cache_file;
-};
-
-/// Parse `--jobs N` / `--jobs=N` and `--cache FILE` / `--cache=FILE`.
-/// Unknown arguments print usage and exit(2); `--help` prints it and
-/// exits(0). Benches with no sweep accept and ignore the flags, keeping the
-/// CLI identical across every binary in build/bench/.
-inline BenchOptions parse_args(int argc, char** argv) {
-  const auto usage = [&](std::FILE* out) {
-    std::fprintf(out,
-                 "usage: %s [--jobs N] [--cache FILE]\n"
-                 "  --jobs N     sweep worker threads (default: hardware "
-                 "concurrency; 1 = serial)\n"
-                 "  --cache FILE load/save the sweep memoization cache, making "
-                 "repeated runs free\n",
-                 argv[0]);
-  };
-  BenchOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = std::atoi(argv[++i]);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opts.jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg == "--cache" && i + 1 < argc) {
-      opts.cache_file = argv[++i];
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      opts.cache_file = arg.substr(8);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      usage(stderr);
-      std::exit(2);
-    }
-  }
-  if (opts.jobs < 0) opts.jobs = 0;
-  return opts;
-}
-
-/// Sweep-engine options corresponding to the parsed CLI.
-inline report::SweepOptions sweep_options(const BenchOptions& opts) {
-  return report::SweepOptions{.jobs = opts.jobs, .memoize = true};
-}
-
-/// RAII wrapper around the persistent sweep cache: loads `--cache FILE` on
-/// construction (a missing file is a normal cold start) and saves the
-/// merged cache back on destruction. With no cache file it does nothing.
-class CacheSession {
- public:
-  explicit CacheSession(const BenchOptions& opts) : path_(opts.cache_file) {
-    if (!path_.empty()) (void)report::SweepCache::instance().load(path_);
-  }
-  ~CacheSession() {
-    if (!path_.empty() && !report::SweepCache::instance().save(path_)) {
-      std::fprintf(stderr, "warning: could not save sweep cache to %s\n",
-                   path_.c_str());
-    }
-  }
-  CacheSession(const CacheSession&) = delete;
-  CacheSession& operator=(const CacheSession&) = delete;
-
- private:
-  std::string path_;
-};
 
 /// Decimal GB helper matching the paper's axis labels.
 constexpr std::uint64_t gb(double x) { return static_cast<std::uint64_t>(x * 1e9); }
@@ -106,69 +22,6 @@ inline void print_figure(const std::string& experiment, const std::string& expec
   std::printf("==== %s ====\n", experiment.c_str());
   std::printf("paper shape: %s\n\n", expectation.c_str());
   std::printf("%s\n", figure.to_table().c_str());
-}
-
-/// Same, for a completed sweep: the figure followed by the engine's
-/// cell/cache/wall-time accounting (quoted in EXPERIMENTS.md).
-inline void print_figure(const std::string& experiment, const std::string& expectation,
-                         const report::SweepRun& run) {
-  print_figure(experiment, expectation, run.figure);
-  std::printf("%s\n", run.stats.summary().c_str());
-}
-
-/// The whole main() of a figure/table reproduction binary: parse the
-/// uniform CLI, execute the named registry experiment through the repro
-/// pipeline, and print the figure (or table), the paper's expected shape,
-/// the sweep accounting, and every shape-check outcome. Returns nonzero
-/// when a qualitative shape check fails, so a bench run doubles as a
-/// conformance probe.
-inline int run_experiment_main(const std::string& id, int argc, char** argv) {
-  const BenchOptions opts = parse_args(argc, argv);
-  const CacheSession cache(opts);
-
-  // Honor $KNL_FAULT_PLAN so a bench binary can run under the same chaos
-  // schedule as the repro pipeline; a malformed plan is a usage error.
-  std::string plan_error;
-  if (!fault::arm_from_env(&plan_error)) {
-    std::fprintf(stderr, "error: %s\n", plan_error.c_str());
-    return 2;
-  }
-
-  const repro::ExperimentSpec* spec = repro::find_experiment(id);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment id '%s'\n", id.c_str());
-    return 2;
-  }
-  const Machine machine;
-  const repro::Pipeline pipeline(machine,
-                                 repro::PipelineOptions{.jobs = opts.jobs, .memoize = true});
-  repro::ExperimentResult result;
-  try {
-    result = pipeline.run(*spec);
-  } catch (const Error& e) {
-    // Unabsorbed cells (retry budget exhausted, substrate failure): report
-    // the full casualty list the sweep collected, exit as an execution
-    // failure — distinct from the shape-check exit 1.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
-  if (!result.table_text.empty()) {
-    std::printf("==== %s ====\n\n%s\n", spec->title.c_str(), result.table_text.c_str());
-    std::printf("paper: %s\n", spec->paper_shape.c_str());
-  } else {
-    print_figure(spec->title, spec->paper_shape, result.figure);
-    std::printf("%s\n", result.stats.summary().c_str());
-  }
-  if (!result.notes.empty()) std::printf("%s\n", result.notes.c_str());
-
-  bool ok = true;
-  for (const repro::CheckOutcome& outcome : result.checks) {
-    std::printf("check %s: %s (%s)\n", outcome.passed ? "ok" : "FAILED",
-                outcome.check.description.c_str(), outcome.detail.c_str());
-    ok = ok && outcome.passed;
-  }
-  return ok ? 0 : 1;
 }
 
 }  // namespace knl::bench

@@ -9,7 +9,6 @@
 #include <future>
 #include <type_traits>
 
-#include "core/fault/atomic_io.hpp"
 #include "core/thread_pool.hpp"
 #include "sim/mcdram_cache.hpp"
 #include "sim/reuse_profile.hpp"
@@ -538,16 +537,6 @@ std::size_t SweepCache::max_serialized_bytes() const {
   return cache_header().size() + 1 + capacity() * kMaxSerializedLineBytes;
 }
 
-bool SweepCache::save(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string text = serialize();
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  const bool ok = std::fclose(file) == 0 && wrote;
-  return ok;
-}
-
 bool SweepCache::deserialize(const std::string& text) {
   const std::string header = cache_header();
   if (text.size() < header.size() ||
@@ -589,11 +578,6 @@ bool SweepCache::deserialize(const std::string& text) {
     store(key, r);
   }
   return true;
-}
-
-bool SweepCache::load(const std::string& path) {
-  const auto text = io::read_text_file(path, max_serialized_bytes(), nullptr);
-  return text.has_value() && deserialize(*text);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Sweep runner: the common loop of every bench binary — run a workload
+// Sweep runner: the common loop of every registry experiment — run a workload
 // across problem sizes or thread counts under the paper's three memory
 // configurations and collect a Figure.
 //
@@ -8,7 +8,7 @@
 // so the output is bit-identical whatever the job count. A process-wide
 // memoization cache keyed on (profile content, machine fingerprint, memory
 // config, thread count) makes repeated cells — across figures, across
-// sweeps, and via save()/load() across bench-binary runs — free.
+// sweeps, and via the service's snapshot across restarts — free.
 #pragma once
 
 #include <array>
@@ -217,10 +217,10 @@ struct ProfileKeyHash {
 /// the rest wait on its future — a thundering herd of equal (profile,
 /// machine, config, threads) fingerprints costs one simulation.
 ///
-/// save()/load() persist entries as a text file (hex-float exact
-/// round-trip), so a bench binary run with `--cache FILE` starts warm on
-/// its second invocation. The file header records the machine-profile
-/// schema version; a file written under another schema is rejected as a
+/// serialize()/deserialize() render entries as text (hex-float exact
+/// round-trip), the payload knl-serve's snapshot persists so a restarted
+/// service starts warm. The header records the machine-profile schema
+/// version; a payload written under another schema is rejected as a
 /// benign cold start.
 class SweepCache {
  public:
@@ -234,7 +234,7 @@ class SweepCache {
   /// Bound on resident reuse-distance profiles. A profile is a histogram of
   /// up to max_depth buckets (typically a few thousand live ones), so this
   /// caps the profile side at a few MiB as well. Profiles are process-local
-  /// only: save()/load() persist RunResults, never profiles.
+  /// only: serialize() persists RunResults, never profiles.
   static constexpr std::size_t kDefaultProfileCapacity = 128;
 
   /// Profiles are immutable once computed and shared by reference: a grid
@@ -274,15 +274,7 @@ class SweepCache {
   [[nodiscard]] SweepCacheStats stats() const;
   void reset_stats();
 
-  /// Merge entries from `path` (written by save). Returns false when the
-  /// file is absent, longer than max_serialized_bytes(), malformed, or
-  /// written under a different machine-profile schema version — all benign
-  /// cold-cache starts.
-  bool load(const std::string& path);
-  /// Write every entry to `path`, replacing it. Returns false on I/O error.
-  [[nodiscard]] bool save(const std::string& path) const;
-
-  /// The save() file rendered as a string (header + one line per entry, in
+  /// Every entry rendered as text (header + one line per entry, in
   /// shard/LRU order) — the payload snapshots wrap with a digest line.
   [[nodiscard]] std::string serialize() const;
   /// serialize()'s line buffer: an entry whose line would not fit is left out.

@@ -53,7 +53,8 @@ void usage(std::ostream& os) {
         "commands:\n"
         "  run    execute every registered figure/table experiment and write\n"
         "         one schema-versioned JSON artifact per experiment plus a\n"
-        "         run manifest (default: repro-out/)\n"
+        "         run manifest (default: repro-out/); with --only naming one\n"
+        "         experiment, also print its figure or table and checks\n"
         "  diff   recompute the suite and compare against the golden\n"
         "         baselines; exit 1 on any out-of-tolerance metric\n"
         "  bless  rewrite the golden baselines from the current model\n"
@@ -228,6 +229,26 @@ void print_result_line(const ExperimentResult& result, std::ostream& out) {
   }
 }
 
+/// The full text of one experiment: its figure (with the sweep accounting)
+/// or table, the paper's expected shape, any notes and every check verdict.
+void print_experiment_text(const ExperimentSpec& spec, const ExperimentResult& result,
+                           std::ostream& out) {
+  if (!result.table_text.empty()) {
+    out << "==== " << spec.title << " ====\n\n" << result.table_text << '\n';
+    out << "paper: " << spec.paper_shape << '\n';
+  } else {
+    out << "==== " << spec.title << " ====\n";
+    out << "paper shape: " << spec.paper_shape << "\n\n";
+    out << result.figure.to_table() << '\n';
+    out << result.stats.summary() << '\n';
+  }
+  if (!result.notes.empty()) out << result.notes << '\n';
+  for (const CheckOutcome& outcome : result.checks) {
+    out << "check " << (outcome.passed ? "ok" : "FAILED") << ": "
+        << outcome.check.description << " (" << outcome.detail << ")\n";
+  }
+}
+
 bool any_check_failed(const std::vector<ExperimentResult>& results) {
   for (const ExperimentResult& result : results) {
     if (!result.checks_passed()) return true;
@@ -395,6 +416,9 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
   if (profile->name != "knl7210") out << " [profile " << profile->name << "]";
   out << '\n';
   for (const ExperimentResult& result : results) print_result_line(result, out);
+  if (specs.size() == 1 && results.size() == 1) {
+    print_experiment_text(*specs.front(), results.front(), out);
+  }
   if (profile->paper_checks && any_check_failed(results)) {
     err << "error: a qualitative shape check failed — the model no longer "
            "matches the paper\n";

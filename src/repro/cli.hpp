@@ -4,7 +4,9 @@
 // Subcommands:
 //   run   [--out DIR] [--jobs N] [--only id,...] [--run-id ID]
 //         [--resume ID] [--runs-dir DIR] [--fault-plan SPEC]
-//         execute + write artifacts, journaling completed experiments
+//         execute + write artifacts, journaling completed experiments;
+//         `--only <id>` naming one experiment also prints its figure or
+//         table, the paper's expected shape and every check verdict
 //   diff  [--golden DIR] [--from DIR] [--jobs N] [--only id,...]
 //   bless [--golden DIR] [--jobs N] [--only id,...] rewrite golden baselines
 //   list                                            print the registry

@@ -38,7 +38,7 @@ ShapeCheck growth_at_most(std::string series, double threshold, std::string desc
 }
 
 // ---------------------------------------------------------------------------
-// The paper's sweep grids (previously scattered across bench_util.hpp).
+// The paper's sweep grids.
 // ---------------------------------------------------------------------------
 std::vector<std::uint64_t> fig2_sizes() {
   std::vector<std::uint64_t> sizes;

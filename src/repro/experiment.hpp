@@ -4,7 +4,7 @@
 // the memory configurations, the derived series of the published plot, the
 // paper's qualitative expectation for the shape, and tolerance-aware
 // assertions of that shape. The registry is the single source of truth:
-// the bench_fig*/bench_table* binaries, the knl-repro pipeline, and the
+// the knl-repro pipeline, its one-figure text output, and the
 // golden-baseline conformance gate all execute these same descriptions.
 #pragma once
 

@@ -11,7 +11,6 @@
 #include "core/fault/error.hpp"
 #include "core/thread_pool.hpp"
 #include "service/recovery.hpp"
-#include "sim/replay_telemetry.hpp"
 #include "sim/simd.hpp"
 #include "sim/topology.hpp"
 #include "workloads/registry.hpp"
@@ -924,14 +923,9 @@ Value PlacementService::do_stats() const {
   health_json.set("transitions", static_cast<double>(health.transitions));
   out.set("health", std::move(health_json));
 
-  // Replay-engine telemetry: the batched cache/TLB block paths' work
-  // process-wide, plus the SIMD level their decompose kernels dispatch to.
-  const sim::ReplayTelemetrySnapshot replay = sim::ReplayTelemetry::instance().snapshot();
+  // The SIMD level the batched cache path's decompose kernels dispatch to.
   Value replay_json = Value::object();
   replay_json.set("simd_level", sim::simd::level_name(sim::simd::active_level()));
-  replay_json.set("classified_blocks", static_cast<double>(replay.classified_blocks));
-  replay_json.set("classified_addresses",
-                  static_cast<double>(replay.classified_addresses));
   out.set("replay", std::move(replay_json));
 
   // Per-machine topology identity: cache entries are keyed by fingerprint

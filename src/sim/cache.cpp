@@ -3,7 +3,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "sim/replay_telemetry.hpp"
 #include "sim/simd.hpp"
 
 namespace knl::sim {
@@ -102,11 +101,10 @@ void CacheSim::ensure_soa_scratch() {
   }
 }
 
-template <int kWays, bool kFlags>
+template <int kWays>
 void CacheSim::apply_block_pow2(const std::uint64_t* sets, const std::uint64_t* tags_in,
-                                std::size_t n, std::uint8_t* hit_out, BlockStats& block,
-                                std::uint64_t& evictions, std::uint64_t& filled,
-                                SlabCursor& cursor) {
+                                std::size_t n, BlockStats& block, std::uint64_t& evictions,
+                                std::uint64_t& filled, SlabCursor& cursor) {
   std::uint64_t tick = tick_;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t sampled = sets[i];
@@ -140,7 +138,6 @@ void CacheSim::apply_block_pow2(const std::uint64_t* sets, const std::uint64_t* 
         victim_tick = t;
       }
     }
-    if constexpr (kFlags) hit_out[i] = hit ? 1 : 0;
     if (hit) {
       ++block.hits;
       continue;
@@ -157,9 +154,8 @@ void CacheSim::apply_block_pow2(const std::uint64_t* sets, const std::uint64_t* 
   tick_ = tick;
 }
 
-template <int kWays, bool kFlags>
-BlockStats CacheSim::access_block_soa(const std::uint64_t* addrs, std::size_t n,
-                                      std::uint8_t* hit_out) {
+template <int kWays>
+BlockStats CacheSim::access_block_soa(const std::uint64_t* addrs, std::size_t n) {
   ensure_soa_scratch();
   const std::uint64_t sample_every = config_.sample_every;
   const bool sampling = sample_every != 1;
@@ -175,8 +171,6 @@ BlockStats CacheSim::access_block_soa(const std::uint64_t* addrs, std::size_t n,
     const std::size_t m = std::min(simd::kSoaChunk, n - off);
     std::size_t kept;
     if (sampling) {
-      // kFlags implies exact mode (dispatched below), so the sampled leg
-      // never has to map compacted survivors back to flag positions.
       kept = simd::decompose_pow2_sampled(addrs + off, m, line_shift_, set_mask_,
                                           set_shift_, sample_mask, sample_shift,
                                           soa_set_.data(), soa_tag_.data());
@@ -185,9 +179,8 @@ BlockStats CacheSim::access_block_soa(const std::uint64_t* addrs, std::size_t n,
                            soa_set_.data(), soa_tag_.data());
       kept = m;
     }
-    apply_block_pow2<kWays, kFlags>(soa_set_.data(), soa_tag_.data(), kept,
-                                    kFlags ? hit_out + off : nullptr, block, evictions,
-                                    filled, cursor);
+    apply_block_pow2<kWays>(soa_set_.data(), soa_tag_.data(), kept, block, evictions,
+                            filled, cursor);
   }
 
   resident_ += filled;
@@ -290,7 +283,6 @@ BlockStats CacheSim::access_block_generic(std::span<const std::uint64_t> addrs) 
 }
 
 BlockStats CacheSim::access_block(std::span<const std::uint64_t> addrs) {
-  ReplayTelemetry::instance().record_block(addrs.size());
   const std::uint64_t sample_every = config_.sample_every;
   const bool pow2 = sets_pow2_ && (sample_every == 1 ||
                                    (std::has_single_bit(sample_every) &&
@@ -298,47 +290,13 @@ BlockStats CacheSim::access_block(std::span<const std::uint64_t> addrs) {
   const std::uint64_t* data = addrs.data();
   const std::size_t n = addrs.size();
   switch (config_.ways) {
-    case 1:
-      return pow2 ? access_block_soa<1, false>(data, n, nullptr)
-                  : access_block_scalar<1>(addrs);
-    case 2:
-      return pow2 ? access_block_soa<2, false>(data, n, nullptr)
-                  : access_block_scalar<2>(addrs);
-    case 4:
-      return pow2 ? access_block_soa<4, false>(data, n, nullptr)
-                  : access_block_scalar<4>(addrs);
-    case 8:
-      return pow2 ? access_block_soa<8, false>(data, n, nullptr)
-                  : access_block_scalar<8>(addrs);
-    case 16:
-      return pow2 ? access_block_soa<16, false>(data, n, nullptr)
-                  : access_block_scalar<16>(addrs);
-    default:
-      return access_block_generic(addrs);
+    case 1: return pow2 ? access_block_soa<1>(data, n) : access_block_scalar<1>(addrs);
+    case 2: return pow2 ? access_block_soa<2>(data, n) : access_block_scalar<2>(addrs);
+    case 4: return pow2 ? access_block_soa<4>(data, n) : access_block_scalar<4>(addrs);
+    case 8: return pow2 ? access_block_soa<8>(data, n) : access_block_scalar<8>(addrs);
+    case 16: return pow2 ? access_block_soa<16>(data, n) : access_block_scalar<16>(addrs);
+    default: return access_block_generic(addrs);
   }
-}
-
-BlockStats CacheSim::access_block_flags(const std::uint64_t* addrs, std::size_t n,
-                                        std::uint8_t* hit_out) {
-  ReplayTelemetry::instance().record_block(n);
-  // The SoA flags path requires exact mode (flag positions match input
-  // positions only when no sampling compaction happens) and pow2 sets.
-  if (config_.sample_every == 1 && sets_pow2_) {
-    switch (config_.ways) {
-      case 1: return access_block_soa<1, true>(addrs, n, hit_out);
-      case 2: return access_block_soa<2, true>(addrs, n, hit_out);
-      case 4: return access_block_soa<4, true>(addrs, n, hit_out);
-      case 8: return access_block_soa<8, true>(addrs, n, hit_out);
-      case 16: return access_block_soa<16, true>(addrs, n, hit_out);
-      default: break;
-    }
-  }
-  // Fallback: the per-address path (non-sampled sets report hits, exactly
-  // like access()).
-  const CacheStats before = stats_;
-  for (std::size_t i = 0; i < n; ++i) hit_out[i] = access(addrs[i]) ? 1 : 0;
-  return {stats_.accesses - before.accesses, stats_.hits - before.hits,
-          stats_.misses - before.misses};
 }
 
 std::uint64_t CacheSim::access_range(std::uint64_t addr, std::uint64_t bytes) {

@@ -80,13 +80,6 @@ class CacheSim {
   /// unrolled. Bit-identical to calling access() per address.
   BlockStats access_block(std::span<const std::uint64_t> addrs);
 
-  /// Batched access that additionally records the per-address outcome:
-  /// hit_out[i] = 1 when addrs[i] hit (non-sampled sets report 1, exactly
-  /// like access()), so a caller can chain L1 -> L2 over the misses
-  /// without falling back to per-address calls.
-  BlockStats access_block_flags(const std::uint64_t* addrs, std::size_t n,
-                                std::uint8_t* hit_out);
-
   /// Touch every line of [addr, addr+bytes); returns number of line misses
   /// among sampled sets.
   std::uint64_t access_range(std::uint64_t addr, std::uint64_t bytes);
@@ -135,17 +128,15 @@ class CacheSim {
 
   /// SoA pipeline for power-of-two geometry: decompose `addrs` into the
   /// scratch set/tag arrays (SIMD-dispatched), then run the stateful LRU
-  /// apply pass. kFlags additionally writes per-address hit bytes.
-  template <int kWays, bool kFlags>
-  BlockStats access_block_soa(const std::uint64_t* addrs, std::size_t n,
-                              std::uint8_t* hit_out);
+  /// apply pass.
+  template <int kWays>
+  BlockStats access_block_soa(const std::uint64_t* addrs, std::size_t n);
   /// Stateful LRU pass over precomputed (sampled set, tag) pairs; the per-way
   /// scan unrolls at compile time. Accumulates into the caller's counters.
-  template <int kWays, bool kFlags>
+  template <int kWays>
   void apply_block_pow2(const std::uint64_t* sets, const std::uint64_t* tags,
-                        std::size_t n, std::uint8_t* hit_out, BlockStats& block,
-                        std::uint64_t& evictions, std::uint64_t& filled,
-                        SlabCursor& cursor);
+                        std::size_t n, BlockStats& block, std::uint64_t& evictions,
+                        std::uint64_t& filled, SlabCursor& cursor);
 
   /// Scalar fallback for non-power-of-two set counts or sampling strides
   /// (division/modulo index math, otherwise the same one-pass LRU scan).

@@ -71,10 +71,6 @@ class McdramCacheSim {
 
   /// Access a physical byte address; true on hit.
   bool access(std::uint64_t paddr) { return sim_.access(paddr); }
-  /// Batched replay of a whole address block (the sharded-replay hot path).
-  BlockStats access_block(std::span<const std::uint64_t> paddrs) {
-    return sim_.access_block(paddrs);
-  }
   std::uint64_t access_range(std::uint64_t paddr, std::uint64_t bytes) {
     return sim_.access_range(paddr, bytes);
   }

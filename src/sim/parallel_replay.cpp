@@ -48,7 +48,10 @@ ParallelReplayStats ParallelReplay::replay(
     throw std::invalid_argument("ParallelReplay: one stream per core required");
   }
   ParallelReplayStats stats;
-  double last_done = 0.0;
+  // The simulated clock runs on across calls, so this call's time is
+  // measured from the earliest core's issue cursor at entry.
+  const double entry = std::ranges::min_element(cores_, {}, &Core::issue_cursor)->issue_cursor;
+  double last_done = entry;
 
   // Round-robin lock-step: each round, every core issues its next access.
   bool progressed = true;
@@ -94,7 +97,7 @@ ParallelReplayStats ParallelReplay::replay(
       last_done = std::max(last_done, done);
     }
   }
-  stats.seconds = last_done * 1e-9;
+  stats.seconds = (last_done - entry) * 1e-9;
   return stats;
 }
 

@@ -54,9 +54,10 @@ class ParallelReplay {
 
   /// Replay one independent access stream per core (streams may differ in
   /// length; shorter cores idle), each from its first entry. Returns this
-  /// call's aggregate counters; `seconds` is when its last access completes
-  /// on the simulated clock. Caches, TLBs, MSHRs, issue cursors (that clock)
-  /// and the bandwidth budget stay warm into the next call until reset().
+  /// call's aggregate counters; `seconds` is the simulated time from the
+  /// earliest core's issue cursor at entry to this call's last completion.
+  /// Caches, TLBs, MSHRs, issue cursors (the simulated clock) and the
+  /// bandwidth budget stay warm into the next call until reset().
   ParallelReplayStats replay(const std::vector<std::vector<std::uint64_t>>& streams);
 
   /// Effective bandwidth cap applied to this replay (GB/s).

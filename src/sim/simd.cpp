@@ -61,11 +61,6 @@ std::size_t decompose_sampled_scalar(const std::uint64_t* addrs, std::size_t n,
   return kept;
 }
 
-void shift_right_scalar(const std::uint64_t* addrs, std::size_t n, unsigned shift,
-                        std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = addrs[i] >> shift;
-}
-
 #if KNL_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -128,17 +123,6 @@ std::size_t decompose_sampled_sse2(const std::uint64_t* addrs, std::size_t n,
   return kept;
 }
 
-void shift_right_sse2(const std::uint64_t* addrs, std::size_t n, unsigned shift,
-                      std::uint64_t* out) {
-  const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(addrs + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_srl_epi64(a, sh));
-  }
-  shift_right_scalar(addrs + i, n - i, shift, out + i);
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 kernels (4 x 64-bit lanes), compiled with a target attribute so the
 // rest of the library keeps the portable baseline ISA; only ever called
@@ -193,18 +177,6 @@ __attribute__((target("avx2"))) std::size_t decompose_sampled_avx2(
                                    sample_mask, sample_shift, set_out + kept,
                                    tag_out + kept);
   return kept;
-}
-
-__attribute__((target("avx2"))) void shift_right_avx2(const std::uint64_t* addrs,
-                                                      std::size_t n, unsigned shift,
-                                                      std::uint64_t* out) {
-  const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(addrs + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_srl_epi64(a, sh));
-  }
-  shift_right_scalar(addrs + i, n - i, shift, out + i);
 }
 
 #endif  // KNL_SIMD_X86
@@ -284,17 +256,6 @@ std::size_t decompose_pow2_sampled(const std::uint64_t* addrs, std::size_t n,
     default:
       return decompose_sampled_scalar(addrs, n, line_shift, set_mask, set_shift,
                                       sample_mask, sample_shift, set_out, tag_out);
-  }
-}
-
-void shift_right(const std::uint64_t* addrs, std::size_t n, unsigned shift,
-                 std::uint64_t* out) {
-  switch (active_level()) {
-#if KNL_SIMD_X86
-    case Level::kAvx2: shift_right_avx2(addrs, n, shift, out); return;
-    case Level::kSse2: shift_right_sse2(addrs, n, shift, out); return;
-#endif
-    default: shift_right_scalar(addrs, n, shift, out); return;
   }
 }
 

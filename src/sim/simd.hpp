@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD kernels for the replay hot path.
 //
-// The batched classification loops in CacheSim/TlbSim split each address
-// block into two stages: a *decomposition* stage that turns the AoS address
-// stream into SoA set-index/tag (or page) arrays — pure element-wise
-// shift/mask work with no loop-carried state — and a stateful *apply* stage
-// that walks those arrays through the LRU structures. Decomposition is the
+// The batched classification loop in CacheSim splits each address block
+// into two stages: a *decomposition* stage that turns the AoS address
+// stream into SoA set-index/tag arrays — pure element-wise shift/mask work
+// with no loop-carried state — and a stateful *apply* stage that walks
+// those arrays through the LRU structures. Decomposition is the
 // part worth vectorizing, and this module provides it three ways:
 //
 //   kScalar  portable fallback (also the auto-vectorization baseline);
@@ -69,9 +69,5 @@ std::size_t decompose_pow2_sampled(const std::uint64_t* addrs, std::size_t n,
                                    unsigned set_shift, std::uint64_t sample_mask,
                                    unsigned sample_shift, std::uint64_t* set_out,
                                    std::uint64_t* tag_out);
-
-/// out[i] = addrs[i] >> shift — page-number extraction for the TLB.
-void shift_right(const std::uint64_t* addrs, std::size_t n, unsigned shift,
-                 std::uint64_t* out);
 
 }  // namespace knl::sim::simd

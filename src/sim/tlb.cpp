@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/replay_telemetry.hpp"
-#include "sim/simd.hpp"
 
 namespace knl::sim {
 
@@ -52,30 +50,6 @@ TlbSim::TlbSim(TlbConfig config) : config_(config) {
   lru_next_.assign(entries, -1);
   bucket_head_.assign(buckets, -1);
   bucket_next_.assign(entries, -1);
-}
-
-void TlbSim::access_block(const std::uint64_t* addrs, std::size_t n,
-                          std::uint8_t* hit_out) {
-  ReplayTelemetry::instance().record_block(n);
-  if (!page_pow2_) {
-    for (std::size_t i = 0; i < n; ++i) hit_out[i] = access(addrs[i]) ? 1 : 0;
-    return;
-  }
-  if (soa_pages_.empty()) soa_pages_.resize(simd::kSoaChunk);
-  for (std::size_t off = 0; off < n; off += simd::kSoaChunk) {
-    const std::size_t m = std::min(simd::kSoaChunk, n - off);
-    simd::shift_right(addrs + off, m, page_shift_, soa_pages_.data());
-    accesses_ += m;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint64_t page = soa_pages_[i];
-      // Same MRU front-check as access(): page-local runs never probe.
-      if (head_ >= 0 && pages_[static_cast<std::size_t>(head_)] == page) {
-        hit_out[off + i] = 1;
-      } else {
-        hit_out[off + i] = access_slow(page) ? 1 : 0;
-      }
-    }
-  }
 }
 
 void TlbSim::move_to_front(std::int32_t slot) {

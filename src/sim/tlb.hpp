@@ -65,7 +65,7 @@ class TlbModel {
 /// open-hashed page index (bucket chains threaded through bucket_next_)
 /// plus a doubly-linked LRU order threaded through lru_prev_/lru_next_.
 /// Every operation is O(1) with no allocation after construction, which is
-/// what the batched replay hot loop needs.
+/// what the replay hot loop needs.
 class TlbSim {
  public:
   explicit TlbSim(TlbConfig config = {});
@@ -78,12 +78,6 @@ class TlbSim {
     if (head_ >= 0 && pages_[static_cast<std::size_t>(head_)] == page) return true;
     return access_slow(page);
   }
-
-  /// Batched translate: hit_out[i] = 1 when addrs[i] hit. Bit-identical to
-  /// calling access() per address, but the page-number extraction is staged
-  /// through a SoA scratch array filled by the SIMD dispatch (sim/simd.hpp),
-  /// so the stateful LRU walk runs over a contiguous page stream.
-  void access_block(const std::uint64_t* addrs, std::size_t n, std::uint8_t* hit_out);
 
   [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
@@ -110,9 +104,6 @@ class TlbSim {
   std::int32_t tail_ = -1;    // least recently used slot
   std::int32_t filled_ = 0;   // slots in use (fill before evicting)
   std::vector<std::uint64_t> pages_;
-  /// SoA page-number scratch for access_block, lazily allocated by the
-  /// first block access.
-  std::vector<std::uint64_t> soa_pages_;
   std::vector<std::int32_t> lru_prev_;
   std::vector<std::int32_t> lru_next_;
   std::vector<std::int32_t> bucket_head_;

@@ -3,7 +3,6 @@
 // cache keys on.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "report/sweep.hpp"
@@ -133,11 +132,11 @@ TEST(ParallelSweep, CacheSaveLoadRoundTripsExactly) {
   ASSERT_TRUE(r1.feasible);
   ASSERT_FALSE(r2.feasible);
 
-  const std::string path = testing::TempDir() + "sweep_cache_roundtrip.txt";
-  ASSERT_TRUE(SweepCache::instance().save(path));
+  // The snapshot payload: serialize, drop everything, restore.
+  const std::string text = SweepCache::instance().serialize();
   SweepCache::instance().clear();
   ASSERT_EQ(SweepCache::instance().size(), 0u);
-  ASSERT_TRUE(SweepCache::instance().load(path));
+  ASSERT_TRUE(SweepCache::instance().deserialize(text));
   EXPECT_EQ(SweepCache::instance().size(), 2u);
 
   bool hit = false;
@@ -156,12 +155,7 @@ TEST(ParallelSweep, CacheSaveLoadRoundTripsExactly) {
   EXPECT_FALSE(l2.feasible);
   EXPECT_EQ(l2.infeasible_reason, r2.infeasible_reason);
 
-  std::remove(path.c_str());
   SweepCache::instance().clear();
-}
-
-TEST(ParallelSweep, LoadMissingFileIsBenign) {
-  EXPECT_FALSE(SweepCache::instance().load("/nonexistent/dir/no-such-cache"));
 }
 
 TEST(ParallelSweep, ProfileFingerprintIgnoresNamesButNotTiming) {

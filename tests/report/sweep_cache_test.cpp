@@ -4,8 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -194,45 +193,33 @@ TEST_F(SweepCacheTest, SetCapacityEvictsDownToBound) {
 
 TEST_F(SweepCacheTest, SaveLoadRoundTripsEntries) {
   auto& cache = SweepCache::instance();
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "sweep_cache_roundtrip.txt";
   for (std::uint64_t n = 0; n < 10; ++n) {
     cache.store(key_for(n), result_for(0.1 * static_cast<double>(n)));
   }
-  ASSERT_TRUE(cache.save(path.string()));
+  const std::string text = cache.serialize();
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(cache.load(path.string()));
+  EXPECT_TRUE(cache.deserialize(text));
   EXPECT_EQ(cache.size(), 10u);
   const auto hit = cache.lookup(key_for(3));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->seconds, 0.1 * 3.0);
-  std::filesystem::remove(path);
 }
 
 TEST_F(SweepCacheTest, LoadRejectsForeignSchemaHeader) {
   auto& cache = SweepCache::instance();
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "sweep_cache_foreign.txt";
   cache.store(key_for(1), result_for(1.0));
-  ASSERT_TRUE(cache.save(path.string()));
+  const std::string text = cache.serialize();
 
   // Rewrite the header as if a binary with another machine schema wrote it.
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  std::string rest((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_NE(header.find("machine-schema"), std::string::npos);
-  std::ofstream out(path, std::ios::trunc);
-  out << "knlmem-sweep-cache 2 machine-schema 9999\n" << rest;
-  out.close();
+  const std::size_t eol = text.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  ASSERT_NE(text.substr(0, eol).find("machine-schema"), std::string::npos);
+  const std::string foreign = "knlmem-sweep-cache 2 machine-schema 9999" + text.substr(eol);
 
   cache.clear();
-  EXPECT_FALSE(cache.load(path.string()));  // benign cold start
+  EXPECT_FALSE(cache.deserialize(foreign));  // benign cold start
   EXPECT_EQ(cache.size(), 0u);
-  std::filesystem::remove(path);
 }
 
 // Regression (the small-fix satellite): the machine fingerprint must cover

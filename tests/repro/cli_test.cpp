@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/machine.hpp"
 #include "repro/experiment.hpp"
 #include "repro/json.hpp"
 #include "repro/pipeline.hpp"
@@ -124,6 +125,61 @@ TEST_F(CliTest, RunWritesArtifactsAndManifest) {
   const auto artifact = load_json_file((out_dir / "fig2_stream.json").string(), &error);
   ASSERT_TRUE(artifact.has_value()) << error;
   EXPECT_DOUBLE_EQ(artifact->find("schema_version")->as_number(), kSchemaVersion);
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(CliTest, RunOfOneFigurePrintsItsFigureShapeAndChecks) {
+  ASSERT_EQ(run_cli({"run", "--out", (dir_ / "out").string(), "--runs-dir",
+                     (dir_ / "runs").string(), "--only", "fig2_stream"}),
+            kExitSuccess)
+      << err_.str();
+  const ExperimentSpec& spec = *find_experiment("fig2_stream");
+  const ExperimentResult expected = Pipeline(Machine()).run(spec);
+  const std::string text = out_.str();
+  EXPECT_NE(text.find("==== " + spec.title + " ====\npaper shape: " + spec.paper_shape +
+                      "\n\n" + expected.figure.to_table() + "\nsweep: "),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(count_of(text, "\ncheck ok: "), spec.checks.size()) << text;
+  EXPECT_EQ(count_of(text, "check FAILED"), 0u) << text;
+}
+
+TEST_F(CliTest, RunOfOneTablePrintsTheTableText) {
+  ASSERT_EQ(run_cli({"run", "--out", (dir_ / "out").string(), "--runs-dir",
+                     (dir_ / "runs").string(), "--only", "table1_apps"}),
+            kExitSuccess)
+      << err_.str();
+  const ExperimentSpec& spec = *find_experiment("table1_apps");
+  const ExperimentResult expected = Pipeline(Machine()).run(spec);
+  ASSERT_FALSE(expected.table_text.empty());
+  const std::string text = out_.str();
+  EXPECT_NE(text.find("==== " + spec.title + " ====\n\n" + expected.table_text +
+                      "\npaper: " + spec.paper_shape + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("paper shape:"), std::string::npos) << text;
+  EXPECT_EQ(count_of(text, "\ncheck ok: "), spec.checks.size()) << text;
+}
+
+TEST_F(CliTest, RunOfSeveralExperimentsPrintsOnlyResultLines) {
+  ASSERT_EQ(run_cli({"run", "--out", (dir_ / "out").string(), "--runs-dir",
+                     (dir_ / "runs").string(), "--only", "fig2_stream,fig4c_gups"}),
+            kExitSuccess)
+      << err_.str();
+  const std::string text = out_.str();
+  EXPECT_NE(text.find("  fig2_stream: "), std::string::npos) << text;
+  EXPECT_NE(text.find("  fig4c_gups: "), std::string::npos) << text;
+  EXPECT_EQ(text.find("===="), std::string::npos) << text;
+  EXPECT_EQ(text.find("check ok:"), std::string::npos) << text;
 }
 
 TEST_F(CliTest, DiffFromPrecomputedArtifactDir) {

@@ -419,14 +419,6 @@ TEST_F(ServiceTest, StatsExposesReplayTelemetry) {
   // module can report.
   const std::string level = replay->find("simd_level")->as_string();
   EXPECT_TRUE(level == "scalar" || level == "sse2" || level == "avx2") << level;
-  // Counters are process-wide monotonic gauges; presence and non-negativity
-  // is the contract (other tests in this binary may already have bumped
-  // them, so exact values are not asserted).
-  for (const char* key : {"classified_blocks", "classified_addresses"}) {
-    const Value* counter = replay->find(key);
-    ASSERT_NE(counter, nullptr) << key;
-    EXPECT_GE(counter->as_number(), 0.0) << key;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Property tests for the SoA/SIMD batched classification paths: for every
-// dispatch level the CPU supports, CacheSim::access_block[_flags] and
-// TlbSim::access_block must be bit-identical to driving the same simulator
-// one address at a time — across way counts, pow2 and non-pow2 set counts,
+// Property tests for the SoA/SIMD batched classification path: for every
+// dispatch level the CPU supports, CacheSim::access_block must be
+// bit-identical to driving the same simulator one address at a time —
+// across way counts, pow2 and non-pow2 set counts,
 // sampling strides, and chunk-boundary remainders (including blocks shorter
 // than a vector register).
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "sim/cache.hpp"
 #include "sim/simd.hpp"
-#include "sim/tlb.hpp"
 
 namespace {
 
@@ -78,27 +77,6 @@ void expect_block_matches_reference(const sim::CacheConfig& config,
   EXPECT_EQ(ref_hits - reference.stats().hits, addrs.size() - block.sampled);
 }
 
-/// Same, for the flags variant: every per-address outcome must equal the
-/// per-address access() return.
-void expect_flags_match_reference(const sim::CacheConfig& config,
-                                  const std::vector<std::uint64_t>& addrs) {
-  sim::CacheSim reference(config);
-  sim::CacheSim batched(config);
-
-  std::vector<std::uint8_t> expected(addrs.size() + 1, 0xAA);
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    expected[i] = reference.access(addrs[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> got(addrs.size() + 1, 0xAA);
-  batched.access_block_flags(addrs.data(), addrs.size(), got.data());
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    ASSERT_EQ(got[i], expected[i]) << "flag mismatch at index " << i;
-  }
-  EXPECT_EQ(got[addrs.size()], 0xAA) << "wrote past the end of hit_out";
-  EXPECT_EQ(batched.stats().hits, reference.stats().hits);
-  EXPECT_EQ(batched.stats().misses, reference.stats().misses);
-}
-
 // Chunk-boundary remainders: straddle the SoA chunk (1024) and the replay
 // classify chunk (4096), plus blocks shorter than any vector width.
 const std::size_t kBlockSizes[] = {0, 1, 2, 3, 5, 7, 1023, 1024, 1025, 4097};
@@ -117,7 +95,6 @@ TEST(CacheSimdProperty, BlockMatchesPerAddressAcrossLevelsAndWays) {
                                         << " ways=" << ways << " n=" << n);
         expect_block_matches_reference(config,
                                        make_addresses(n, 16ull << 10, 7 + n));
-        expect_flags_match_reference(config, make_addresses(n, 16ull << 10, 11 + n));
       }
     }
   }
@@ -144,7 +121,6 @@ TEST(CacheSimdProperty, SampledBlockMatchesPerAddress) {
                        << " sample=" << sample << " n=" << n);
           expect_block_matches_reference(config,
                                          make_addresses(n, 8ull << 20, 23 + n));
-          expect_flags_match_reference(config, make_addresses(n, 8ull << 20, 29 + n));
         }
       }
     }
@@ -165,7 +141,6 @@ TEST(CacheSimdProperty, NonPow2SetCountMatchesPerAddress) {
         SCOPED_TRACE(testing::Message() << "level=" << sim::simd::level_name(level)
                                         << " ways=" << ways << " n=" << n);
         expect_block_matches_reference(config, make_addresses(n, 4ull << 10, 31 + n));
-        expect_flags_match_reference(config, make_addresses(n, 4ull << 10, 37 + n));
       }
     }
   }
@@ -210,45 +185,6 @@ TEST(CacheSimdProperty, DecomposeKernelsMatchScalarReference) {
       for (std::size_t i = 0; i < kept; ++i) {
         ASSERT_EQ(sset[i], ref_sset[i]) << "sampled set mismatch at " << i;
         ASSERT_EQ(stag[i], ref_stag[i]) << "sampled tag mismatch at " << i;
-      }
-
-      std::vector<std::uint64_t> pages(n + 1, ~0ull), ref_pages(n, 0);
-      for (std::size_t i = 0; i < n; ++i) ref_pages[i] = addrs[i] >> 12;
-      sim::simd::shift_right(addrs.data(), n, 12, pages.data());
-      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(pages[i], ref_pages[i]);
-      EXPECT_EQ(pages[n], ~0ull) << "wrote past the end";
-    }
-  }
-}
-
-TEST(TlbSimdProperty, BlockMatchesPerAddress) {
-  for (const auto level : available_levels()) {
-    ScopedLevel scoped(level);
-    // 4 KiB pages take the SIMD page-extraction path; 3000 B pages take the
-    // per-address division fallback.
-    for (const std::uint64_t page_bytes : {std::uint64_t{4096}, std::uint64_t{3000}}) {
-      sim::TlbConfig config;
-      config.page_bytes = page_bytes;
-      config.entries = 64;
-      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1023},
-                                  std::size_t{1024}, std::size_t{1025},
-                                  std::size_t{5000}}) {
-        SCOPED_TRACE(testing::Message() << "level=" << sim::simd::level_name(level)
-                                        << " page=" << page_bytes << " n=" << n);
-        const auto addrs = make_addresses(n, 2ull << 20, 43 + n);
-        sim::TlbSim reference(config);
-        sim::TlbSim batched(config);
-        std::vector<std::uint8_t> expected(n + 1, 0xAA), got(n + 1, 0xAA);
-        for (std::size_t i = 0; i < n; ++i) {
-          expected[i] = reference.access(addrs[i]) ? 1 : 0;
-        }
-        batched.access_block(addrs.data(), n, got.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], expected[i]) << "hit flag mismatch at " << i;
-        }
-        EXPECT_EQ(got[n], 0xAA) << "wrote past the end of hit_out";
-        EXPECT_EQ(batched.accesses(), reference.accesses());
-        EXPECT_EQ(batched.misses(), reference.misses());
       }
     }
   }

@@ -171,7 +171,7 @@ TEST(ParallelReplay, LockStepStatsArePinned) {
     const ParallelReplayStats second =
         machine.replay(random_streams(2, 4ull << 20, 3000, 22));
     EXPECT_EQ(second.accesses, 6000u);
-    expect_pinned(second, {6000u, 48u, 535u, 5417u, 0u, 0u, 0x3f3a425f80e2a10cull,
+    expect_pinned(second, {6000u, 48u, 535u, 5417u, 0u, 0u, 0x3f3a01c7e11e4b07ull,
                            0x3f6570be26cc70b9ull});
   }
   {
