@@ -1,9 +1,10 @@
-// Work-stealing thread pool — the execution substrate of the parallel sweep
-// engine (report/sweep.hpp) and of the sharded reuse-distance pass
-// (sim/reuse_profile.cpp). The query service does not use it:
-// PlacementService runs each query on the calling thread behind a slot gate,
-// because a hand-off to a worker and back cost more than a /placement query
-// computes.
+// Work-stealing thread pool — the execution substrate of the repro
+// pipeline's experiment scheduler (repro/pipeline.cpp: one task per
+// experiment), of the sweep engine's jobs > 1 mode (report/sweep.hpp) and
+// of the sharded reuse-distance pass (sim/reuse_profile.cpp). The query
+// service does not use it: PlacementService runs each query on the calling
+// thread behind a slot gate, because a hand-off to a worker and back cost
+// more than a /placement query computes.
 //
 // Design: each worker owns a deque guarded by its own mutex. Submission
 // round-robins tasks across the deques; a worker pops from the front of its
@@ -11,7 +12,8 @@
 // the classic Chase-Lev discipline (implemented with locks, not lock-free
 // buffers). Queue overhead is not noise: a sweep cell evaluates in a few
 // microseconds (perfbench's `sweep.cell_us`), so a submit() and future
-// hand-off per cell is a visible share of the cell's cost.
+// hand-off per cell is a visible share of the cell's cost — which is why
+// the repro pipeline submits whole experiments instead.
 // Tasks are arbitrary callables; submit() returns a std::future carrying the
 // task's result or exception.
 //

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <optional>
 #include <ostream>
@@ -53,8 +54,9 @@ void usage(std::ostream& os) {
         "commands:\n"
         "  run    execute every registered figure/table experiment and write\n"
         "         one schema-versioned JSON artifact per experiment plus a\n"
-        "         run manifest (default: repro-out/); with --only naming one\n"
-        "         experiment, also print its figure or table and checks\n"
+        "         run manifest (default: repro-out/), committed with the run\n"
+        "         journal once, after the last experiment; with --only naming\n"
+        "         one experiment, also print its figure or table and checks\n"
         "  diff   recompute the suite and compare against the golden\n"
         "         baselines; exit 1 on any out-of-tolerance metric\n"
         "  bless  rewrite the golden baselines from the current model\n"
@@ -73,11 +75,13 @@ void usage(std::ostream& os) {
         "                 golden/profiles/<name> for other profiles)\n"
         "  --from DIR     diff pre-computed artifacts from DIR instead of\n"
         "                 recomputing\n"
-        "  --jobs N       sweep worker threads (0 = hardware concurrency)\n"
+        "  --jobs N       experiments run at once (0 = hardware concurrency,\n"
+        "                 1 = serial); each experiment's sweep is serial\n"
         "  --only a,b,c   restrict to the named experiments\n"
         "  --force        bless even when a qualitative shape check fails\n"
         "  --runs-dir DIR journal directory for `run` (default runs)\n"
-        "  --run-id ID    name this run's journal (default: derived)\n"
+        "  --run-id ID    name this run's journal (default: run-<unix time>,\n"
+        "                 suffixed -2, -3, ... when taken)\n"
         "  --resume ID    resume a journaled run, skipping experiments whose\n"
         "                 artifacts are already on disk and intact; writes to\n"
         "                 the run's original --out unless --out is repeated\n"
@@ -269,24 +273,30 @@ int cmd_list(const CliOptions& opts, std::ostream& out) {
   return kExitSuccess;
 }
 
-/// Exact on-disk bytes of one artifact (dump + trailing newline), the text
-/// both the atomic writer and the journal hash cover.
-std::string artifact_text(const ExperimentResult& result, const Machine& machine) {
-  return artifact_json(result, machine).dump() + '\n';
-}
-
-std::string default_run_id() {
+/// A fresh run id, "run-<unix seconds>", with a "-N" suffix when that id is
+/// taken under `runs_dir`. The id is claimed by creating its run directory
+/// (mkdir is atomic), so two runs started in the same second, in one
+/// process or two, never share a journal. Empty (with *error) on an I/O
+/// failure.
+std::string claim_default_run_id(const std::string& runs_dir, std::string* error) {
   const auto now = std::chrono::system_clock::now().time_since_epoch();
-  const auto seconds = std::chrono::duration_cast<std::chrono::seconds>(now).count();
-  return "run-" + std::to_string(seconds);
+  const std::string base =
+      "run-" + std::to_string(std::chrono::duration_cast<std::chrono::seconds>(now).count());
+  std::error_code ec;
+  std::filesystem::create_directories(runs_dir, ec);
+  for (int n = 1; !ec; ++n) {
+    const std::string id = n == 1 ? base : base + "-" + std::to_string(n);
+    if (std::filesystem::create_directory(run_dir(runs_dir, id), ec)) return id;
+  }
+  *error = "could not create a run directory under " + runs_dir + ": " + ec.message();
+  return {};
 }
 
 int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& specs,
             std::ostream& out, std::ostream& err) {
   const bool resuming = !opts.resume_id.empty();
-  const std::string run_id =
-      resuming ? opts.resume_id
-               : (opts.run_id.empty() ? default_run_id() : opts.run_id);
+  // Empty until claimed below when neither --resume nor --run-id names it.
+  std::string run_id = resuming ? opts.resume_id : opts.run_id;
 
   // Resume: trust the journal only where the artifact on disk still matches
   // the recorded hash — a deleted or drifted artifact re-runs.
@@ -338,6 +348,11 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
   }
 
   std::string error;
+  if (run_id.empty()) run_id = claim_default_run_id(opts.runs_dir, &error);
+  if (run_id.empty()) {
+    err << "error: " << error << '\n';
+    return kExitUsage;
+  }
   auto writer = resuming
                     ? JournalWriter::append_to(opts.runs_dir, run_id, &error)
                     : JournalWriter::create(opts.runs_dir, run_id, out_dir, &error,
@@ -347,61 +362,78 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
     return kExitUsage;
   }
 
+  // 1. Sort the specs, in order, into verified-from-the-journal and to-run.
+  // Both interrupt paths are checked here, before each experiment: the
+  // signal handler's flag and the deterministic injected interrupt (keyed
+  // by experiment index).
   const std::filesystem::path base(out_dir);
-  std::vector<ExperimentResult> results;
-  std::vector<std::string> completed_ids;
+  std::vector<bool> completed(specs.size(), false);
+  std::vector<const ExperimentSpec*> to_run;
+  std::vector<std::size_t> to_run_index;
   std::size_t skipped = 0;
   bool interrupted = false;
-
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentSpec& spec = *specs[i];
-    // Both interrupt paths land here, *between* experiments: the signal
-    // handler's flag and the deterministic injected interrupt (keyed by
-    // experiment index) — the journal stays consistent either way.
-    if (interrupt_requested() ||
-        fault::fires(fault::kSitePipelineInterrupt, i)) {
+    if (interrupt_requested() || fault::fires(fault::kSitePipelineInterrupt, i)) {
       interrupted = true;
       break;
     }
-
-    const std::string artifact_path = (base / artifact_filename(spec.id)).string();
     if (const JournalEntry* entry = prior.find(spec.id)) {
-      const auto text = io::read_file_with_retry(artifact_path, kMaxArtifactBytes, nullptr);
+      const auto text = io::read_file_with_retry((base / artifact_filename(spec.id)).string(),
+                                                 kMaxArtifactBytes, nullptr);
       if (text && io::fnv1a_hex(*text) == entry->sha) {
-        completed_ids.push_back(spec.id);
+        completed[i] = true;
         ++skipped;
         continue;
       }
       out << "  " << spec.id << ": journaled artifact missing or drifted — "
           << "re-running\n";
     }
-
-    ExperimentResult result = pipeline.run(spec);
-    const std::string text = artifact_text(result, machine);
-    if (!io::write_file_with_retry(artifact_path, text, &error)) {
-      err << "error: " << error << '\n';
-      return kExitUsage;
-    }
-    // Journal only after the artifact is durably on disk; a crash between
-    // the two re-runs the experiment, never trusts a phantom artifact.
-    if (!writer->record_done({spec.id, artifact_filename(spec.id),
-                              io::fnv1a_hex(text)},
-                             &error)) {
-      err << "error: " << error << '\n';
-      return kExitUsage;
-    }
-    completed_ids.push_back(spec.id);
-    results.push_back(std::move(result));
+    to_run.push_back(&spec);
+    to_run_index.push_back(i);
   }
 
-  // The manifest covers exactly the completed set, so a resumed run's final
+  // 2. Compute. A SIGINT now skips the experiments not yet started; an
+  // experiment's error keeps only the results before it, as a serial run
+  // would have stopped there.
+  std::vector<ExperimentOutcome> outcomes = pipeline.run_each(to_run, interrupt_requested);
+  std::vector<ExperimentResult> results;
+  std::exception_ptr failure;
+  for (std::size_t j = 0; j < outcomes.size(); ++j) {
+    if (outcomes[j].error) {
+      failure = outcomes[j].error;
+      break;
+    }
+    if (!outcomes[j].result) {
+      interrupted = true;
+      continue;
+    }
+    completed[to_run_index[j]] = true;
+    results.push_back(std::move(*outcomes[j].result));
+  }
+
+  // 3. Commit once: every new artifact plus the manifest as one atomic
+  // batch, then their journal lines (and a new journal's header) with one
+  // fsync. Journal only after the artifacts are durable: a crash between
+  // the two re-runs the batch, never trusts a phantom artifact. The
+  // manifest covers exactly the completed set, so a resumed run's final
   // manifest is identical to an uninterrupted one.
-  if (!io::write_file_with_retry((base / "manifest.json").string(),
-                                 manifest_json(completed_ids, machine).dump() + '\n',
-                                 &error)) {
+  std::vector<io::FileWrite> files = artifact_files(results, machine);
+  std::vector<JournalEntry> entries;
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    entries.push_back({results[j].id, files[j].name, io::fnv1a_hex(files[j].text)});
+  }
+  std::vector<std::string> completed_ids;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (completed[i]) completed_ids.push_back(specs[i]->id);
+  }
+  files.push_back({"manifest.json", manifest_json(completed_ids, machine).dump() + '\n'});
+  if (!io::atomic_write_files(out_dir, files, &error) ||
+      !writer->record_done(entries, &error)) {
     err << "error: " << error << '\n';
     return kExitUsage;
   }
+  if (failure) std::rethrow_exception(failure);
 
   if (interrupted) {
     out << "interrupted after " << completed_ids.size() << "/" << specs.size()
@@ -525,10 +557,7 @@ int cmd_bless(const CliOptions& opts, const std::vector<const ExperimentSpec*>& 
   // batch, so a bless killed mid-way leaves each golden either old or new —
   // never torn, and the startup integrity pass stays quiet.
   const std::filesystem::path base(golden_dir);
-  std::vector<io::FileWrite> files;
-  for (const ExperimentResult& result : results) {
-    files.push_back({artifact_filename(result.id), artifact_text(result, machine)});
-  }
+  std::vector<io::FileWrite> files = artifact_files(results, machine);
   // Manifest covers every registry experiment with a baseline once this
   // bless lands, so a subset bless never drops the others.
   std::vector<std::string> ids;

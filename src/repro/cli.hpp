@@ -4,7 +4,8 @@
 // Subcommands:
 //   run   [--out DIR] [--jobs N] [--only id,...] [--run-id ID]
 //         [--resume ID] [--runs-dir DIR] [--fault-plan SPEC]
-//         execute + write artifacts, journaling completed experiments;
+//         execute, then write every artifact and journal line in one
+//         commit;
 //         `--only <id>` naming one experiment also prints its figure or
 //         table, the paper's expected shape and every check verdict
 //   diff  [--golden DIR] [--from DIR] [--jobs N] [--only id,...]
@@ -17,8 +18,8 @@
 //      failed qualitative shape check
 //   2  usage or I/O error (unknown flag/id, unreadable or corrupt golden
 //      dir, execution failure)
-//   3  interrupted, resumable: `run` stopped between experiments (SIGINT or
-//      an injected pipeline interrupt) after journaling completed work —
+//   3  interrupted, resumable: `run` stopped (SIGINT or an injected
+//      pipeline interrupt) after committing the experiments that finished —
 //      `knl-repro run --resume <id>` finishes the remainder
 #pragma once
 
@@ -35,8 +36,9 @@ inline constexpr int kExitInterrupted = 3;
 
 /// Cooperative interrupt flag. The knl-repro binary's SIGINT/SIGTERM
 /// handlers call request_interrupt() (it is async-signal-safe); `run`
-/// checks the flag between experiments and exits kExitInterrupted after
-/// journaling the work already done. Tests drive the same path directly.
+/// checks the flag before starting each experiment, and once it is set
+/// commits the experiments that finished and exits kExitInterrupted. Tests
+/// drive the same path directly.
 /// cli_main never clears the flag itself — the embedding decides.
 void request_interrupt() noexcept;
 [[nodiscard]] bool interrupt_requested() noexcept;

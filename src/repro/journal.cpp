@@ -153,7 +153,7 @@ std::optional<JournalWriter> JournalWriter::create(const std::string& runs_dir,
     return std::nullopt;
   }
   JournalWriter writer(file);
-  if (!writer.write_line(header_line(run_id, out_dir, profile), error)) {
+  if (!writer.append(header_line(run_id, out_dir, profile) + '\n', /*sync=*/false, error)) {
     return std::nullopt;
   }
   return writer;
@@ -189,17 +189,23 @@ JournalWriter::~JournalWriter() {
 }
 
 bool JournalWriter::record_done(const JournalEntry& entry, std::string* error) {
-  return write_line(done_line(entry), error);
+  return append(done_line(entry) + '\n', /*sync=*/true, error);
 }
 
-bool JournalWriter::write_line(const std::string& line, std::string* error) {
+bool JournalWriter::record_done(const std::vector<JournalEntry>& entries,
+                                std::string* error) {
+  std::string lines;
+  for (const JournalEntry& entry : entries) lines += done_line(entry) + '\n';
+  return append(lines, /*sync=*/true, error);
+}
+
+bool JournalWriter::append(const std::string& lines, bool sync, std::string* error) {
   if (file_ == nullptr) {
     if (error != nullptr) *error = "journal writer is closed";
     return false;
   }
-  const std::string text = line + "\n";
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file_) == text.size() &&
-                  std::fflush(file_) == 0 && io::fsync_file(file_);
+  const bool ok = std::fwrite(lines.data(), 1, lines.size(), file_) == lines.size() &&
+                  std::fflush(file_) == 0 && (!sync || io::fsync_file(file_));
   if (!ok && error != nullptr) *error = "could not append to journal";
   return ok;
 }

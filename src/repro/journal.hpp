@@ -2,12 +2,12 @@
 //
 // Each run owns a directory `<runs_dir>/<run_id>/` holding
 // `journal.jsonl` — a header line followed by one line per *completed*
-// experiment, appended (and fsynced) only after the experiment's artifact
-// has been atomically written to disk. A run killed mid-flight therefore
-// leaves a journal whose "done" lines are exactly the experiments whose
-// artifacts are trustworthy; `knl-repro run --resume <id>` replays the
-// journal, verifies each recorded artifact hash, and re-executes only the
-// remainder.
+// experiment. `run` commits once: it writes every new artifact as one
+// atomic batch, then appends all their lines with one fsync. A run killed
+// mid-flight therefore leaves a journal whose "done" lines are exactly the
+// experiments whose artifacts are trustworthy; `knl-repro run --resume
+// <id>` replays the journal, verifies each recorded artifact hash, and
+// re-executes only the remainder.
 //
 // The format is deliberately line-oriented JSON (jsonl): appends are a
 // single write, a torn final line (crash mid-append) is detected and
@@ -65,13 +65,16 @@ struct RunJournal {
                                                      std::string* error);
 
 /// Append-only journal writer. Every record is written, flushed and fsynced
-/// before record_done returns — after a crash, the journal never claims an
+/// before record_done returns; callers record an experiment only once its
+/// artifact is durable, so after a crash the journal never claims an
 /// experiment the artifact directory cannot back.
 class JournalWriter {
  public:
   /// Create `<runs_dir>/<run_id>/journal.jsonl` with a fresh header
   /// recording the run's artifact directory and machine profile (truncating
-  /// any previous journal of the same id).
+  /// any previous journal of the same id). The header is flushed, not
+  /// fsynced: the first record_done's fsync makes it durable with the
+  /// records, so a run pays one journal fsync.
   [[nodiscard]] static std::optional<JournalWriter> create(
       const std::string& runs_dir, const std::string& run_id,
       const std::string& out_dir, std::string* error,
@@ -90,10 +93,17 @@ class JournalWriter {
   /// Record one completed experiment; durable on return.
   [[nodiscard]] bool record_done(const JournalEntry& entry, std::string* error);
 
+  /// Record several completed experiments with one write and one fsync;
+  /// durable on return (an empty list still fsyncs, making the header
+  /// durable).
+  [[nodiscard]] bool record_done(const std::vector<JournalEntry>& entries,
+                                 std::string* error);
+
  private:
   explicit JournalWriter(std::FILE* file) : file_(file) {}
 
-  [[nodiscard]] bool write_line(const std::string& line, std::string* error);
+  /// Append `lines` (each newline-terminated), flush, and fsync if `sync`.
+  [[nodiscard]] bool append(const std::string& lines, bool sync, std::string* error);
 
   std::FILE* file_ = nullptr;
 };

@@ -1,13 +1,16 @@
 #include "repro/pipeline.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/fault/atomic_io.hpp"
+#include "core/thread_pool.hpp"
 #include "report/table.hpp"
 #include "workloads/latency_probe.hpp"
 #include "workloads/registry.hpp"
@@ -23,14 +26,15 @@ std::string hex_fingerprint(const Machine& machine) {
 }
 
 report::SweepOptions sweep_options(const PipelineOptions& options) {
-  // single_pass stays at its default (true): any capacity-sweep experiment
-  // the registry grows runs through the single-pass engine, whose cells are
-  // exact-equal to the per-cell reference wherever LRU inclusion holds.
+  // Serial sweeps: the parallelism is across experiments (run_each), so a
+  // sweep never opens a pool of its own. single_pass stays true: any
+  // capacity-sweep experiment the registry grows runs through the
+  // single-pass engine, whose cells are exact-equal to the per-cell
+  // reference wherever LRU inclusion holds.
   report::SweepOptions sweep;
-  sweep.jobs = options.jobs;
+  sweep.jobs = 1;
   sweep.memoize = options.memoize;
   sweep.retry = options.retry;
-  sweep.cell_deadline_ms = options.cell_deadline_ms;
   sweep.single_pass = true;
   return sweep;
 }
@@ -117,8 +121,8 @@ ExperimentResult Pipeline::run(const ExperimentSpec& spec) const {
     }
     case ExperimentKind::HtGrid: {
       // Fig. 5: one size sweep per hardware-thread multiplier, merged into a
-      // single figure with "<config> (ht=N)" series. Each sub-sweep runs on
-      // the parallel engine; series order matches the published figure.
+      // single figure with "<config> (ht=N)" series. The sub-sweeps run one
+      // after another; series order matches the published figure.
       if (spec.sizes_bytes.empty() || spec.thread_counts.empty()) {
         throw std::invalid_argument("experiment '" + spec.id + "': bad ht grid");
       }
@@ -194,8 +198,58 @@ std::vector<ExperimentResult> Pipeline::run_all(
     const std::vector<const ExperimentSpec*>& specs) const {
   std::vector<ExperimentResult> results;
   results.reserve(specs.size());
-  for (const ExperimentSpec* spec : specs) results.push_back(run(*spec));
+  for (ExperimentOutcome& outcome : run_each(specs)) {
+    if (outcome.error) std::rethrow_exception(outcome.error);
+    results.push_back(std::move(*outcome.result));
+  }
   return results;
+}
+
+std::vector<ExperimentOutcome> Pipeline::run_each(
+    const std::vector<const ExperimentSpec*>& specs,
+    const std::function<bool()>& stop) const {
+  std::vector<ExperimentOutcome> outcomes(specs.size());
+  const auto run_one = [&](std::size_t i) {
+    if (stop && stop()) return;
+    try {
+      outcomes[i].result = run(*specs[i]);
+    } catch (...) {
+      outcomes[i].error = std::current_exception();
+    }
+  };
+
+  const std::size_t jobs = options_.jobs <= 0
+                               ? core::ThreadPool::hardware_threads()
+                               : static_cast<std::size_t>(options_.jobs);
+  const std::size_t workers = std::min(jobs, specs.size());
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      run_one(i);
+      if (outcomes[i].error) break;
+    }
+    return outcomes;
+  }
+
+  std::vector<std::future<void>> futures;
+  futures.reserve(specs.size());
+  {
+    core::ThreadPool pool(static_cast<unsigned>(workers));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
+    }
+  }  // the pool drains before it joins: every future is ready here
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      futures[i].get();
+    } catch (...) {
+      // run_one captures the experiment's own errors, so this came from the
+      // pool itself (an injected dispatch fault fires in the task wrapper,
+      // before the experiment starts): run it here instead.
+      run_one(i);
+      if (outcomes[i].result) ++outcomes[i].result->stats.serial_fallbacks;
+    }
+  }
+  return outcomes;
 }
 
 std::optional<double> value_near(const report::Figure& figure, const std::string& series,
@@ -345,6 +399,16 @@ json::Value manifest_json(const std::vector<std::string>& ids, const Machine& ma
   return manifest;
 }
 
+std::vector<io::FileWrite> artifact_files(const std::vector<ExperimentResult>& results,
+                                          const Machine& machine) {
+  std::vector<io::FileWrite> files;
+  files.reserve(results.size() + 1);  // room for a manifest
+  for (const ExperimentResult& result : results) {
+    files.push_back({artifact_filename(result.id), artifact_json(result, machine).dump() + '\n'});
+  }
+  return files;
+}
+
 bool write_artifacts(const std::vector<ExperimentResult>& results,
                      const Machine& machine, const std::string& dir,
                      std::string* error) {
@@ -356,12 +420,8 @@ bool write_artifacts(const std::vector<ExperimentResult>& results,
   }
   // Artifacts are the resume journal's ground truth, so the whole set goes
   // to disk as one atomic batch: after a crash each file is old or new,
-  // never torn. The byte format is dump() plus a trailing newline.
-  std::vector<io::FileWrite> files;
-  files.reserve(results.size() + 1);
-  for (const ExperimentResult& result : results) {
-    files.push_back({artifact_filename(result.id), artifact_json(result, machine).dump() + '\n'});
-  }
+  // never torn.
+  std::vector<io::FileWrite> files = artifact_files(results, machine);
   files.push_back({"manifest.json", manifest_json(results, machine).dump() + '\n'});
   return io::atomic_write_files(dir, files, error);
 }

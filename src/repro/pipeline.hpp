@@ -1,6 +1,11 @@
-// Pipeline: execute ExperimentSpecs through the parallel sweep engine and
-// emit one canonical, schema-versioned JSON artifact per experiment plus a
-// run manifest.
+// Pipeline: execute ExperimentSpecs and emit one canonical, schema-versioned
+// JSON artifact per experiment plus a run manifest.
+//
+// The unit of parallelism is the experiment, not the sweep cell: a cell
+// evaluates in a few microseconds, so a pool hand-off per cell costs more
+// than it saves, while the 14 experiments are independent. run_all and
+// run_each spread the experiments over one thread pool per call; every
+// sweep inside an experiment runs serially, so pools never nest.
 //
 // The artifact is the machine-checked record of what the model currently
 // predicts for one paper figure/table: every series point, the rendered
@@ -10,9 +15,13 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/fault/atomic_io.hpp"
 #include "core/machine.hpp"
 #include "report/figure.hpp"
 #include "report/sweep.hpp"
@@ -26,8 +35,9 @@ namespace knl::repro {
 inline constexpr std::size_t kMaxArtifactBytes = std::size_t{64} << 20;
 
 struct PipelineOptions {
-  /// Sweep worker threads per experiment: 0 = one per hardware thread,
-  /// 1 = serial, N = N workers.
+  /// Experiments run_all/run_each execute at once: 0 = one per hardware
+  /// thread, 1 = serial, N = N workers (never more than there are specs).
+  /// Sweeps inside an experiment always run serially.
   int jobs = 0;
   /// Consult/populate the process-wide SweepCache (results are unchanged
   /// either way; the model is deterministic).
@@ -35,9 +45,6 @@ struct PipelineOptions {
   /// Per-cell retry budget for transient faults (forwarded to the sweep
   /// engine; see report::SweepOptions::retry).
   fault::RetryPolicy retry{};
-  /// Per-cell watchdog deadline in ms, 0 = disabled (forwarded to the
-  /// sweep engine; see report::SweepOptions::cell_deadline_ms).
-  double cell_deadline_ms = 0.0;
 };
 
 /// Outcome of one ShapeCheck against the produced figure.
@@ -60,17 +67,38 @@ struct ExperimentResult {
   [[nodiscard]] bool checks_passed() const;
 };
 
+/// One slot of Pipeline::run_each: the result, or the exception the
+/// experiment threw, or neither when it was never started.
+struct ExperimentOutcome {
+  std::optional<ExperimentResult> result;
+  std::exception_ptr error;
+};
+
 class Pipeline {
  public:
   explicit Pipeline(const Machine& machine, PipelineOptions options = {});
 
-  /// Execute one spec. Throws std::invalid_argument on a malformed spec
-  /// (unknown workload, empty grid).
+  /// Execute one spec on the calling thread. Throws std::invalid_argument
+  /// on a malformed spec (unknown workload, empty grid).
   [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec) const;
 
-  /// Execute every given spec, in order.
+  /// Execute every given spec (see run_each); results in the given order.
+  /// Of the experiments' exceptions, the first in the given order is
+  /// rethrown, as a serial loop would have thrown it.
   [[nodiscard]] std::vector<ExperimentResult> run_all(
       const std::vector<const ExperimentSpec*>& specs) const;
+
+  /// The scheduler under run_all. With more than one worker and more than
+  /// one spec, each experiment is one task on a pool of min(jobs, specs)
+  /// workers; otherwise they run inline, stopping at the first error. A
+  /// pool dispatch fault (the "thread-pool-dispatch" site, keyed by the
+  /// spec's index) re-runs that experiment inline and counts one
+  /// `stats.serial_fallbacks`. `stop`, when given, is polled before each
+  /// experiment starts: once it returns true, experiments not yet started
+  /// are skipped and their slots stay empty.
+  [[nodiscard]] std::vector<ExperimentOutcome> run_each(
+      const std::vector<const ExperimentSpec*>& specs,
+      const std::function<bool()>& stop = {}) const;
 
  private:
   const Machine& machine_;
@@ -106,6 +134,12 @@ class Pipeline {
 /// Same, from bare experiment ids (bless merges subsets this way).
 [[nodiscard]] json::Value manifest_json(const std::vector<std::string>& ids,
                                         const Machine& machine);
+
+/// One file per result, "<id>.json" holding its artifact: the exact bytes
+/// (dump plus a trailing newline) that go to disk and that the run journal
+/// hashes.
+[[nodiscard]] std::vector<io::FileWrite> artifact_files(
+    const std::vector<ExperimentResult>& results, const Machine& machine);
 
 /// Write every artifact plus manifest.json into `dir` (created if needed).
 /// Returns false and sets `*error` on I/O failure.

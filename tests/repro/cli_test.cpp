@@ -15,6 +15,7 @@
 
 #include "core/machine.hpp"
 #include "repro/experiment.hpp"
+#include "repro/journal.hpp"
 #include "repro/json.hpp"
 #include "repro/pipeline.hpp"
 
@@ -125,6 +126,31 @@ TEST_F(CliTest, RunWritesArtifactsAndManifest) {
   const auto artifact = load_json_file((out_dir / "fig2_stream.json").string(), &error);
   ASSERT_TRUE(artifact.has_value()) << error;
   EXPECT_DOUBLE_EQ(artifact->find("schema_version")->as_number(), kSchemaVersion);
+}
+
+TEST_F(CliTest, BackToBackDefaultRunIdsKeepSeparateJournals) {
+  // Two runs without --run-id, started within the same second, must not
+  // share (and truncate) one journal: each keeps its own, naming its --out.
+  const fs::path runs = dir_ / "runs";
+  const fs::path first = dir_ / "first";
+  const fs::path second = dir_ / "second";
+  for (const fs::path& out : {first, second}) {
+    ASSERT_EQ(run_cli({"run", "--out", out.string(), "--runs-dir", runs.string(),
+                       "--only", "table2_numa"}),
+              kExitSuccess)
+        << err_.str();
+  }
+  std::vector<std::string> outs;
+  for (const fs::directory_entry& entry : fs::directory_iterator(runs)) {
+    std::string error;
+    const auto journal =
+        load_journal(runs.string(), entry.path().filename().string(), &error);
+    ASSERT_TRUE(journal.has_value()) << error;
+    EXPECT_EQ(journal->completed.size(), 1u) << entry.path();
+    outs.push_back(journal->out_dir);
+  }
+  std::sort(outs.begin(), outs.end());
+  EXPECT_EQ(outs, (std::vector<std::string>{first.string(), second.string()}));
 }
 
 /// Occurrences of `needle` in `text`.

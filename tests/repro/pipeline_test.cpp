@@ -1,13 +1,17 @@
 // Tests for the reproduction pipeline: registry integrity, artifact schema,
-// and determinism of the executed experiments.
+// determinism of the executed experiments, and the experiment scheduler
+// (job invariance, dispatch-fault fallback, error order, stop).
 #include "repro/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
+#include "core/fault/fault_injection.hpp"
 #include "core/machine.hpp"
+#include "core/machine_profiles.hpp"
 #include "repro/experiment.hpp"
 
 namespace knl::repro {
@@ -109,6 +113,111 @@ TEST(Pipeline, ManifestListsEveryExperiment) {
   ASSERT_NE(listed, nullptr);
   ASSERT_EQ(listed->as_array().size(), 2u);
   EXPECT_EQ(listed->as_array()[0].as_string(), "fig2_stream");
+}
+
+std::vector<const ExperimentSpec*> all_specs() {
+  std::vector<const ExperimentSpec*> specs;
+  for (const ExperimentSpec& spec : experiments()) specs.push_back(&spec);
+  return specs;
+}
+
+/// Every result's artifact, dumped and concatenated in order.
+std::string dump_all(const std::vector<ExperimentResult>& results, const Machine& machine) {
+  std::string text;
+  for (const ExperimentResult& result : results) {
+    text += artifact_json(result, machine).dump() + '\n';
+  }
+  return text;
+}
+
+TEST(Pipeline, RunAllIsJobInvariant) {
+  // Experiments run concurrently at jobs != 1, each with serial sweeps; the
+  // artifacts must not depend on the worker count, the profile or the
+  // SweepCache.
+  const std::vector<const ExperimentSpec*> specs = all_specs();
+  for (const char* name : {"knl7210", "xeonmax", "knl_nvm"}) {
+    const Machine machine(find_machine_profile(name)->make());
+    for (const bool memoize : {true, false}) {
+      const std::string serial = dump_all(
+          Pipeline(machine, PipelineOptions{.jobs = 1, .memoize = memoize}).run_all(specs),
+          machine);
+      for (const int jobs : {2, 3, 4, 0}) {
+        const Pipeline pipeline(machine, PipelineOptions{.jobs = jobs, .memoize = memoize});
+        EXPECT_EQ(dump_all(pipeline.run_all(specs), machine), serial)
+            << name << " jobs=" << jobs << " memoize=" << memoize;
+      }
+    }
+  }
+}
+
+TEST(Pipeline, DispatchFaultRerunsTheExperimentInline) {
+  const std::vector<const ExperimentSpec*> specs = all_specs();
+  const Machine machine;
+  const std::string serial =
+      dump_all(Pipeline(machine, PipelineOptions{.jobs = 1, .memoize = false}).run_all(specs),
+               machine);
+
+  const fault::ScopedFaultPlan plan(
+      fault::FaultPlan::parse("seed=5;site=thread-pool-dispatch,rate=0.3,kind=internal"));
+  std::size_t selected = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (fault::FaultInjector::instance().selects(fault::kSiteThreadPoolDispatch, i)) {
+      ++selected;
+    }
+  }
+  ASSERT_GT(selected, 0u) << "the plan must hit at least one experiment";
+
+  const std::vector<ExperimentResult> results =
+      Pipeline(machine, PipelineOptions{.jobs = 4, .memoize = false}).run_all(specs);
+  EXPECT_EQ(dump_all(results, machine), serial);
+  std::size_t fallbacks = 0;
+  for (const ExperimentResult& result : results) fallbacks += result.stats.serial_fallbacks;
+  EXPECT_EQ(fallbacks, selected);  // one per faulted dispatch, keyed by index
+}
+
+TEST(Pipeline, ExperimentErrorSurfacesInRegistryOrder) {
+  // Two malformed specs: whatever order they fail in on the pool, run_all
+  // throws the first one's error, as a serial loop would.
+  ExperimentSpec first = *find_experiment("fig2_stream");
+  first.id = "bad_first";
+  first.sizes_bytes.clear();
+  ExperimentSpec second = first;
+  second.id = "bad_second";
+  std::vector<const ExperimentSpec*> specs = all_specs();
+  specs.insert(specs.begin() + 9, &second);
+  specs.insert(specs.begin() + 3, &first);
+
+  const Machine machine;
+  for (const int jobs : {1, 4}) {
+    const Pipeline pipeline(machine, PipelineOptions{.jobs = jobs, .memoize = false});
+    try {
+      (void)pipeline.run_all(specs);
+      ADD_FAILURE() << "jobs=" << jobs << ": no error";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad_first"), std::string::npos)
+          << "jobs=" << jobs << ": " << e.what();
+    }
+  }
+}
+
+TEST(Pipeline, StopSkipsExperimentsNotYetStarted) {
+  const std::vector<const ExperimentSpec*> specs = all_specs();
+  const Machine machine;
+
+  // Serial: stop is polled before each experiment, in order.
+  std::size_t polls = 0;
+  const auto serial = Pipeline(machine, PipelineOptions{.jobs = 1, .memoize = false})
+                          .run_each(specs, [&polls] { return polls++ >= 2; });
+  ASSERT_EQ(serial.size(), specs.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].result.has_value(), i < 2) << i;
+    EXPECT_FALSE(serial[i].error) << i;
+  }
+
+  // On the pool: a stop already raised starts nothing.
+  const auto pooled = Pipeline(machine, PipelineOptions{.jobs = 4, .memoize = false})
+                          .run_each(specs, [] { return true; });
+  for (const ExperimentOutcome& outcome : pooled) EXPECT_FALSE(outcome.result.has_value());
 }
 
 }  // namespace

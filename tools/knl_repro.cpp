@@ -2,8 +2,8 @@
 // All logic lives in repro/cli.cpp so the exit-code contract is unit-tested;
 // this translation unit only adapts argv and installs the signal handlers
 // backing the "interrupted, resumable" (exit 3) contract: SIGINT/SIGTERM
-// raise a cooperative flag, `run` finishes the experiment in flight,
-// journals it, and exits between experiments.
+// raise a cooperative flag, `run` finishes the experiments in flight,
+// starts no more, commits what finished and exits.
 #include <csignal>
 #include <iostream>
 #include <string>
