@@ -393,11 +393,20 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
     to_run_index.push_back(i);
   }
 
-  // 2. Compute. A SIGINT now skips the experiments not yet started; an
+  // 2. Compute, serializing and hashing each artifact on the thread that
+  // ran it. A SIGINT now skips the experiments not yet started; an
   // experiment's error keeps only the results before it, as a serial run
   // would have stopped there.
-  std::vector<ExperimentOutcome> outcomes = pipeline.run_each(to_run, interrupt_requested);
+  std::vector<std::string> texts(to_run.size());
+  std::vector<std::string> shas(to_run.size());
+  std::vector<ExperimentOutcome> outcomes = pipeline.run_each(
+      to_run, interrupt_requested, [&](std::size_t j, const ExperimentResult& result) {
+        texts[j] = artifact_text(result, machine);
+        shas[j] = io::fnv1a_hex(texts[j]);
+      });
   std::vector<ExperimentResult> results;
+  std::vector<io::FileWrite> files;
+  std::vector<JournalEntry> entries;
   std::exception_ptr failure;
   for (std::size_t j = 0; j < outcomes.size(); ++j) {
     if (outcomes[j].error) {
@@ -409,6 +418,9 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
       continue;
     }
     completed[to_run_index[j]] = true;
+    const std::string& id = outcomes[j].result->id;
+    entries.push_back({id, artifact_filename(id), std::move(shas[j])});
+    files.push_back({artifact_filename(id), std::move(texts[j])});
     results.push_back(std::move(*outcomes[j].result));
   }
 
@@ -418,11 +430,6 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
   // the two re-runs the batch, never trusts a phantom artifact. The
   // manifest covers exactly the completed set, so a resumed run's final
   // manifest is identical to an uninterrupted one.
-  std::vector<io::FileWrite> files = artifact_files(results, machine);
-  std::vector<JournalEntry> entries;
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    entries.push_back({results[j].id, files[j].name, io::fnv1a_hex(files[j].text)});
-  }
   std::vector<std::string> completed_ids;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (completed[i]) completed_ids.push_back(specs[i]->id);
@@ -557,7 +564,10 @@ int cmd_bless(const CliOptions& opts, const std::vector<const ExperimentSpec*>& 
   // batch, so a bless killed mid-way leaves each golden either old or new —
   // never torn, and the startup integrity pass stays quiet.
   const std::filesystem::path base(golden_dir);
-  std::vector<io::FileWrite> files = artifact_files(results, machine);
+  std::vector<io::FileWrite> files;
+  for (const ExperimentResult& result : results) {
+    files.push_back({artifact_filename(result.id), artifact_text(result, machine)});
+  }
   // Manifest covers every registry experiment with a baseline once this
   // bless lands, so a subset bless never drops the others.
   std::vector<std::string> ids;

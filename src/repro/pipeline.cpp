@@ -206,13 +206,15 @@ std::vector<ExperimentResult> Pipeline::run_all(
 }
 
 std::vector<ExperimentOutcome> Pipeline::run_each(
-    const std::vector<const ExperimentSpec*>& specs,
-    const std::function<bool()>& stop) const {
+    const std::vector<const ExperimentSpec*>& specs, const std::function<bool()>& stop,
+    const std::function<void(std::size_t, const ExperimentResult&)>& finish) const {
   std::vector<ExperimentOutcome> outcomes(specs.size());
   const auto run_one = [&](std::size_t i) {
     if (stop && stop()) return;
     try {
-      outcomes[i].result = run(*specs[i]);
+      ExperimentResult result = run(*specs[i]);
+      if (finish) finish(i, result);
+      outcomes[i].result = std::move(result);
     } catch (...) {
       outcomes[i].error = std::current_exception();
     }
@@ -399,14 +401,8 @@ json::Value manifest_json(const std::vector<std::string>& ids, const Machine& ma
   return manifest;
 }
 
-std::vector<io::FileWrite> artifact_files(const std::vector<ExperimentResult>& results,
-                                          const Machine& machine) {
-  std::vector<io::FileWrite> files;
-  files.reserve(results.size() + 1);  // room for a manifest
-  for (const ExperimentResult& result : results) {
-    files.push_back({artifact_filename(result.id), artifact_json(result, machine).dump() + '\n'});
-  }
-  return files;
+std::string artifact_text(const ExperimentResult& result, const Machine& machine) {
+  return artifact_json(result, machine).dump() + '\n';
 }
 
 bool write_artifacts(const std::vector<ExperimentResult>& results,
@@ -421,7 +417,11 @@ bool write_artifacts(const std::vector<ExperimentResult>& results,
   // Artifacts are the resume journal's ground truth, so the whole set goes
   // to disk as one atomic batch: after a crash each file is old or new,
   // never torn.
-  std::vector<io::FileWrite> files = artifact_files(results, machine);
+  std::vector<io::FileWrite> files;
+  files.reserve(results.size() + 1);
+  for (const ExperimentResult& result : results) {
+    files.push_back({artifact_filename(result.id), artifact_text(result, machine)});
+  }
   files.push_back({"manifest.json", manifest_json(results, machine).dump() + '\n'});
   return io::atomic_write_files(dir, files, error);
 }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fault/atomic_io.hpp"
 #include "core/machine.hpp"
 #include "report/figure.hpp"
 #include "report/sweep.hpp"
@@ -95,10 +94,14 @@ class Pipeline {
   /// spec's index) re-runs that experiment inline and counts one
   /// `stats.serial_fallbacks`. `stop`, when given, is polled before each
   /// experiment starts: once it returns true, experiments not yet started
-  /// are skipped and their slots stay empty.
+  /// are skipped and their slots stay empty. `finish`, when given, is
+  /// called with a slot's index and result on the thread that ran it, so
+  /// per-result work (serializing the artifact) runs in parallel too; what
+  /// it throws counts as that experiment's error.
   [[nodiscard]] std::vector<ExperimentOutcome> run_each(
       const std::vector<const ExperimentSpec*>& specs,
-      const std::function<bool()>& stop = {}) const;
+      const std::function<bool()>& stop = {},
+      const std::function<void(std::size_t, const ExperimentResult&)>& finish = {}) const;
 
  private:
   const Machine& machine_;
@@ -135,11 +138,10 @@ class Pipeline {
 [[nodiscard]] json::Value manifest_json(const std::vector<std::string>& ids,
                                         const Machine& machine);
 
-/// One file per result, "<id>.json" holding its artifact: the exact bytes
-/// (dump plus a trailing newline) that go to disk and that the run journal
-/// hashes.
-[[nodiscard]] std::vector<io::FileWrite> artifact_files(
-    const std::vector<ExperimentResult>& results, const Machine& machine);
+/// The exact bytes of one artifact file (dump plus a trailing newline):
+/// what goes to disk and what the run journal hashes.
+[[nodiscard]] std::string artifact_text(const ExperimentResult& result,
+                                        const Machine& machine);
 
 /// Write every artifact plus manifest.json into `dir` (created if needed).
 /// Returns false and sets `*error` on I/O failure.

@@ -220,5 +220,27 @@ TEST(Pipeline, StopSkipsExperimentsNotYetStarted) {
   for (const ExperimentOutcome& outcome : pooled) EXPECT_FALSE(outcome.result.has_value());
 }
 
+TEST(Pipeline, FinishRunsOnceOnEachFinishedExperiment) {
+  const std::vector<const ExperimentSpec*> specs = all_specs();
+  const Machine machine;
+  for (const int jobs : {1, 4}) {
+    std::vector<std::string> ids(specs.size());
+    const auto outcomes =
+        Pipeline(machine, PipelineOptions{.jobs = jobs, .memoize = false})
+            .run_each(specs, {}, [&](std::size_t i, const ExperimentResult& result) {
+              EXPECT_TRUE(ids[i].empty()) << "slot " << i << " finished twice";
+              ids[i] = result.id;
+              if (result.id == "fig3_latency") throw std::runtime_error("finish failed");
+            });
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const bool failing = specs[i]->id == "fig3_latency";
+      EXPECT_EQ(ids[i], specs[i]->id) << "jobs=" << jobs;
+      EXPECT_EQ(outcomes[i].result.has_value(), !failing) << specs[i]->id;
+      EXPECT_EQ(static_cast<bool>(outcomes[i].error), failing) << specs[i]->id;
+      if (jobs == 1 && failing) break;  // the serial loop stops at an error
+    }
+  }
+}
+
 }  // namespace
 }  // namespace knl::repro
