@@ -46,7 +46,6 @@ struct BenchOptions {
   std::string preset = "quick";
   std::string out;
   bool check = false;
-  int jobs = 0;
 };
 
 struct GridSpec {
@@ -120,8 +119,7 @@ bool same_results(const CapacitySweepRun& a, const CapacitySweepRun& b) {
 
 [[noreturn]] void usage(int code) {
   std::fprintf(code == 0 ? stdout : stderr,
-               "usage: bench_sweep [--preset quick|full] [--jobs N] "
-               "[--out FILE] [--check]\n");
+               "usage: bench_sweep [--preset quick|full] [--out FILE] [--check]\n");
   std::exit(code);
 }
 
@@ -136,8 +134,6 @@ BenchOptions parse_args(int argc, char** argv) {
     if (arg == "--preset") {
       options.preset = value();
       if (options.preset != "quick" && options.preset != "full") usage(2);
-    } else if (arg == "--jobs") {
-      options.jobs = std::atoi(value().c_str());
     } else if (arg == "--out") {
       options.out = value();
     } else if (arg == "--check") {
@@ -172,7 +168,6 @@ int main(int argc, char** argv) {
     SweepOptions reference;
     reference.single_pass = false;
     reference.memoize = false;
-    reference.jobs = options.jobs;
     SweepCache::instance().clear();
     auto start = std::chrono::steady_clock::now();
     const CapacitySweepRun exact = knl::report::sweep_capacities_run(
@@ -180,8 +175,7 @@ int main(int argc, char** argv) {
         reference);
     const double per_cell_ms = ms_since(start);
 
-    SweepOptions fast;
-    fast.jobs = options.jobs;
+    const SweepOptions fast;
     SweepCache::instance().clear();
     start = std::chrono::steady_clock::now();
     const CapacitySweepRun cold = knl::report::sweep_capacities_run(

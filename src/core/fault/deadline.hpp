@@ -8,8 +8,8 @@
 // dead work once the client has already given up.
 //
 // Deadlines are shared by const pointer (`std::shared_ptr<const Deadline>`)
-// so a sweep fanning out over a ThreadPool hands every cell the same
-// budget without copies or ownership puzzles. A default-constructed or
+// so a request hands every sweep cell and profiling pass the same budget
+// without copies or ownership puzzles. A default-constructed or
 // null deadline is unbounded: library callers that never opt in (knl-repro,
 // the golden pipeline) see bit-identical behavior.
 //

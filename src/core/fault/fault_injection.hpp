@@ -6,8 +6,8 @@
 // or exact key) and an attempt budget. Selection is a pure function of
 // (plan seed, site name, key) — never of wall time, thread id, or call
 // order — so the same plan produces the identical failure schedule whether
-// a sweep runs on 1 worker or 8, and CI can replay an exact schedule with
-// `KNL_FAULT_PLAN`.
+// the repro pipeline runs on 1 worker or 8, and CI can replay an exact
+// schedule with `KNL_FAULT_PLAN`.
 //
 // Grammar (clauses ';'-separated, fields ','-separated):
 //

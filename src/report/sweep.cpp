@@ -9,7 +9,7 @@
 #include <future>
 #include <type_traits>
 
-#include "core/thread_pool.hpp"
+#include "core/fault/fault_injection.hpp"
 #include "sim/mcdram_cache.hpp"
 #include "sim/reuse_profile.hpp"
 
@@ -44,15 +44,12 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Grid dispatch: evaluate `cells` independent cells, inline for jobs == 1,
-// on a work-stealing pool otherwise. Results land in slot order, so the
-// caller's merge is deterministic regardless of completion order.
+// Grid evaluation: `cells` independent cells, evaluated inline in slot order,
+// so the caller's merge is deterministic.
 //
 // Resilience discipline: every cell evaluation runs behind a retry loop
-// (Transient errors back off and re-try up to the budget), a failed cell is
-// *captured* into its outcome instead of aborting the grid, a substrate
-// (pool-dispatch) fault triggers a whole-grid serial fallback, and an armed
-// watchdog deadline re-runs overdue parallel cells serially.
+// (Transient errors back off and re-try up to the budget), and a failed cell
+// is *captured* into its outcome instead of aborting the grid.
 // ---------------------------------------------------------------------------
 struct CellOutcome {
   bool feasible = false;
@@ -66,14 +63,10 @@ struct CellOutcome {
   std::string message;
 };
 
-int resolve_jobs(int jobs) {
-  return jobs <= 0 ? static_cast<int>(core::ThreadPool::hardware_threads()) : jobs;
-}
-
 /// One cell through the retry loop, errors captured instead of thrown. The
 /// injection point sits *inside* the retried callable, keyed by the cell
 /// index, so the outcome (and exact attempt count) is a pure function of
-/// the armed plan — never of job count or scheduling.
+/// the armed plan.
 template <typename Eval>
 CellOutcome guarded_eval(const SweepOptions& options, std::size_t index,
                          const Eval& eval) {
@@ -114,55 +107,9 @@ CellOutcome guarded_eval(const SweepOptions& options, std::size_t index,
 
 template <typename Eval>
 std::vector<CellOutcome> run_grid(const SweepOptions& options, std::size_t cells,
-                                  const Eval& eval, SweepStats& stats) {
+                                  const Eval& eval) {
   std::vector<CellOutcome> out(cells);
-  const auto workers = static_cast<std::size_t>(resolve_jobs(options.jobs));
-  if (workers <= 1 || cells <= 1) {
-    for (std::size_t i = 0; i < cells; ++i) out[i] = guarded_eval(options, i, eval);
-    return out;
-  }
-
-  bool substrate_fault = false;
-  {
-    core::ThreadPool pool(static_cast<unsigned>(std::min(workers, cells)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      futures.push_back(
-          pool.submit([&out, &options, &eval, i] { out[i] = guarded_eval(options, i, eval); }));
-    }
-    // Cell errors are captured inside guarded_eval; anything surfacing here
-    // came from the substrate itself (e.g. an injected dispatch fault fires
-    // in the task wrapper, before the cell body runs). Drain every future —
-    // never abandon the rest of the grid on the first failure.
-    for (auto& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        substrate_fault = true;
-      }
-    }
-  }
-
-  if (substrate_fault) {
-    // Graceful parallel -> serial fallback: re-evaluate the whole grid
-    // inline, exactly what jobs=1 would have computed.
-    ++stats.serial_fallbacks;
-    for (std::size_t i = 0; i < cells; ++i) out[i] = guarded_eval(options, i, eval);
-    return out;
-  }
-
-  if (options.cell_deadline_ms > 0.0) {
-    // Watchdog: a parallel cell that overran its deadline was likely starved
-    // by siblings — re-run it serially, where it has the machine to itself.
-    // Deterministic cells recompute to bit-identical results.
-    for (std::size_t i = 0; i < cells; ++i) {
-      if (out[i].ok && out[i].seconds * 1e3 > options.cell_deadline_ms) {
-        ++stats.watchdog_trips;
-        out[i] = guarded_eval(options, i, eval);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < cells; ++i) out[i] = guarded_eval(options, i, eval);
   return out;
 }
 
@@ -640,7 +587,7 @@ SweepRun sweep_sizes_run(const Machine& machine, const WorkloadFactory& factory,
   };
 
   SweepRun run{std::move(figure), {}, {}};
-  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval, run.stats);
+  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval);
 
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& cell = outcomes[i];
@@ -697,7 +644,7 @@ SweepRun sweep_threads_run(const Machine& machine, const workloads::Workload& wo
   };
 
   SweepRun run{std::move(figure), {}, {}};
-  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval, run.stats);
+  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval);
 
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CellOutcome& cell = outcomes[i];
@@ -741,7 +688,6 @@ SweepStats& SweepStats::operator+=(const SweepStats& other) {
   wall_seconds += other.wall_seconds;
   retries += other.retries;
   failed += other.failed;
-  watchdog_trips += other.watchdog_trips;
   serial_fallbacks += other.serial_fallbacks;
   profile_passes += other.profile_passes;
   profile_hits += other.profile_hits;
@@ -767,12 +713,10 @@ std::string SweepStats::summary() const {
   }
   // Fault accounting only when something fired, keeping clean-run logs clean.
   if (n > 0 && static_cast<std::size_t>(n) < sizeof(buffer) &&
-      (retries != 0 || failed != 0 || watchdog_trips != 0 ||
-       serial_fallbacks != 0)) {
+      (retries != 0 || failed != 0 || serial_fallbacks != 0)) {
     std::snprintf(buffer + n, sizeof(buffer) - static_cast<std::size_t>(n),
-                  ", faults: %zu retries, %zu failed, %zu watchdog trips, "
-                  "%zu serial fallbacks",
-                  retries, failed, watchdog_trips, serial_fallbacks);
+                  ", faults: %zu retries, %zu failed, %zu serial fallbacks",
+                  retries, failed, serial_fallbacks);
   }
   return buffer;
 }
@@ -947,8 +891,7 @@ std::vector<CapacitySweepRun> SweepPlanner::run() {
                 config.num_sets = first.grid.num_sets;
                 config.sample_every = first.grid.sample_every;
                 return std::make_shared<const sim::ReuseProfile>(
-                    sim::profile_trace(addrs.data(), addrs.size(), config,
-                                       resolve_jobs(options_.jobs)));
+                    sim::profile_trace(addrs.data(), addrs.size(), config, 1));
               };
               bool hit = false;
               SweepCache::ProfilePtr profile =
@@ -1085,8 +1028,7 @@ std::vector<CapacitySweepRun> SweepPlanner::run() {
       return outcome;
     };
 
-    const std::vector<CellOutcome> outcomes =
-        run_grid(options_, cells, eval, out.stats);
+    const std::vector<CellOutcome> outcomes = run_grid(options_, cells, eval);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const CellOutcome& outcome = outcomes[i];
       account(out.stats, outcome);

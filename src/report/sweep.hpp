@@ -3,9 +3,8 @@
 // configurations and collect a Figure.
 //
 // The engine enumerates the full (size-or-threads × config) grid as
-// independent cells, evaluates them on a work-stealing thread pool
-// (core/thread_pool.hpp), and merges results into the Figure in grid order —
-// so the output is bit-identical whatever the job count. A process-wide
+// independent cells, evaluates them in grid order on the calling thread, and
+// merges the results into the Figure. A process-wide
 // memoization cache keyed on (profile content, machine fingerprint, memory
 // config, thread count) makes repeated cells — across figures, across
 // sweeps, and via the service's snapshot across restarts — free.
@@ -44,25 +43,17 @@ using WorkloadFactory =
 inline const std::vector<MemConfig> kAllConfigs{MemConfig::DRAM, MemConfig::HBM,
                                                 MemConfig::CacheMode};
 
-/// Execution knobs of one sweep call. The defaults reproduce the classic
-/// serial engine exactly (and they must: determinism tests compare the two).
+/// Execution knobs of one sweep call. Cells always run serially on the
+/// calling thread.
 struct SweepOptions {
-  /// Worker threads for cell evaluation: 1 = evaluate inline on the calling
-  /// thread (no pool), 0 = one worker per hardware thread, N = N workers.
-  int jobs = 1;
   /// Consult and populate the process-wide SweepCache. Results are
   /// unchanged either way (the model is deterministic); turning this off
   /// only forces re-evaluation.
   bool memoize = true;
   /// Per-cell retry of Transient knl::Errors (injected faults, flaky IO):
   /// bounded exponential backoff with deterministic jitter, keyed by cell
-  /// index so retry counters are exact for any job count.
+  /// index so retry counters are exact.
   fault::RetryPolicy retry{};
-  /// Watchdog: > 0 arms a per-cell wall-time deadline (milliseconds). A
-  /// cell that overruns it on the parallel path is re-evaluated serially
-  /// (where it has the machine to itself) — the graceful parallel->serial
-  /// fallback; 0 disables the watchdog.
-  double cell_deadline_ms = 0.0;
   /// Capacity sweeps (SweepPlanner): derive every cell of a grid from one
   /// reuse-distance profiling pass over the trace (exact by LRU inclusion;
   /// the default). false selects the retained per-cell reference path that
@@ -95,14 +86,13 @@ struct SweepStats {
   /// Wall time of the whole sweep call, dispatch and merge included.
   double wall_seconds = 0.0;
   /// Transient-fault retries performed (exact: keyed injection makes this a
-  /// pure function of the armed fault plan, not of the job count).
+  /// pure function of the armed fault plan).
   std::size_t retries = 0;
   /// Cells that still failed after the retry budget; their errors are in
   /// SweepRun::failures, the surviving cells' points are in the figure.
   std::size_t failed = 0;
-  /// Cells that overran the watchdog deadline (timing-dependent by nature).
-  std::size_t watchdog_trips = 0;
-  /// Whole-grid parallel->serial fallbacks after a substrate (pool) fault.
+  /// Experiments that repro::Pipeline::run_each re-ran inline after a
+  /// ThreadPool dispatch fault. Sweeps themselves never set it.
   std::size_t serial_fallbacks = 0;
   /// Single-pass accounting (capacity sweeps only): profiling passes
   /// computed now, passes served from the profile cache, and grid cells
@@ -363,8 +353,7 @@ class SweepCache {
 
 /// Fig. 4-style sweep: metric vs problem size for each memory config at a
 /// fixed thread count. Infeasible runs (e.g. HBM beyond 16 GB) are omitted,
-/// matching the paper's missing bars. Cells run on `options.jobs` workers;
-/// the factory must therefore be callable concurrently and deterministic
+/// matching the paper's missing bars. The factory must be deterministic
 /// (same bytes -> same workload), which holds for every registry workload.
 [[nodiscard]] SweepRun sweep_sizes_run(const Machine& machine,
                                        const WorkloadFactory& factory,
@@ -374,7 +363,6 @@ class SweepCache {
                                        Figure figure, const SweepOptions& options = {});
 
 /// Fig. 6-style sweep: metric vs thread count for a fixed problem size.
-/// The workload's const interface is invoked concurrently across cells.
 [[nodiscard]] SweepRun sweep_threads_run(const Machine& machine,
                                          const workloads::Workload& workload,
                                          const std::vector<int>& thread_counts,
@@ -503,7 +491,7 @@ class SweepPlanner {
 
   /// Execute every queued grid (profiling passes first, grouped by
   /// fingerprint; then cell derivation) and clear the queue. Results are in
-  /// add() order and bit-identical for any jobs count.
+  /// add() order.
   [[nodiscard]] std::vector<CapacitySweepRun> run();
 
  private:

@@ -112,7 +112,7 @@ bool parse(const std::vector<std::string>& args, CliOptions& opts, std::ostream&
     usage(err);
     return false;
   }
-  opts.command = args[0];
+  opts.command = args[0] == "--help" || args[0] == "-h" ? "help" : args[0];
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     const auto take_value = [&](const char* flag) -> const std::string* {
@@ -332,7 +332,7 @@ int cmd_run(const CliOptions& opts, const std::vector<const ExperimentSpec*>& sp
   if (profile == nullptr) return kExitUsage;
 
   const Machine machine(profile->make());
-  const Pipeline pipeline(machine, PipelineOptions{.jobs = opts.jobs, .memoize = true});
+  const Pipeline pipeline(machine, PipelineOptions{.jobs = opts.jobs, .memoize = false});
 
   // Resume writes where the original run did — the printed `--resume <id>`
   // hint must work verbatim — unless --out is explicitly repeated.
@@ -511,7 +511,7 @@ int cmd_diff(const CliOptions& opts, const std::vector<const ExperimentSpec*>& s
     }
   } else {
     const Pipeline pipeline(machine,
-                            PipelineOptions{.jobs = opts.jobs, .memoize = true});
+                            PipelineOptions{.jobs = opts.jobs, .memoize = false});
     const std::vector<ExperimentResult> results = pipeline.run_all(specs);
     report = diff_against_dir(golden_dir, results, machine,
                               /*check_strays=*/opts.only.empty());
@@ -539,7 +539,7 @@ int cmd_bless(const CliOptions& opts, const std::vector<const ExperimentSpec*>& 
   const std::string golden_dir = golden_dir_for(opts, *profile);
 
   const Machine machine(profile->make());
-  const Pipeline pipeline(machine, PipelineOptions{.jobs = opts.jobs, .memoize = true});
+  const Pipeline pipeline(machine, PipelineOptions{.jobs = opts.jobs, .memoize = false});
   const std::vector<ExperimentResult> results = pipeline.run_all(specs);
 
   // The shape checks encode KNL figure claims; they only gate the bless for
@@ -606,7 +606,7 @@ int cmd_matrix(const CliOptions& opts, const std::vector<const ExperimentSpec*>&
 
     const Machine machine(profile.make());
     const Pipeline pipeline(machine,
-                            PipelineOptions{.jobs = opts.jobs, .memoize = true});
+                            PipelineOptions{.jobs = opts.jobs, .memoize = false});
     const std::vector<ExperimentResult> results = pipeline.run_all(specs);
 
     std::string error;

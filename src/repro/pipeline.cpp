@@ -26,13 +26,11 @@ std::string hex_fingerprint(const Machine& machine) {
 }
 
 report::SweepOptions sweep_options(const PipelineOptions& options) {
-  // Serial sweeps: the parallelism is across experiments (run_each), so a
-  // sweep never opens a pool of its own. single_pass stays true: any
-  // capacity-sweep experiment the registry grows runs through the
-  // single-pass engine, whose cells are exact-equal to the per-cell
-  // reference wherever LRU inclusion holds.
+  // Sweeps are serial; the parallelism is across experiments (run_each).
+  // single_pass stays true: any capacity-sweep experiment the registry grows
+  // runs through the single-pass engine, whose cells are exact-equal to the
+  // per-cell reference wherever LRU inclusion holds.
   report::SweepOptions sweep;
-  sweep.jobs = 1;
   sweep.memoize = options.memoize;
   sweep.retry = options.retry;
   sweep.single_pass = true;

@@ -655,7 +655,6 @@ Value PlacementService::do_whatif(const Value& body,
     const std::uint64_t capacity = require_bytes(body, "mcdram_capacity_bytes");
     report::CapacityGrid grid = parse_capacity_grid(body, {capacity});
     report::SweepOptions sweep_options;
-    sweep_options.jobs = options_.sweep_jobs;
     sweep_options.single_pass = bool_or(body, "single_pass", true);
     sweep_options.deadline = ctx.deadline;
     sweep_options.cache_only = ctx.degraded;
@@ -701,7 +700,6 @@ Value PlacementService::do_sweep(const Value& body,
   }
 
   report::SweepOptions sweep_options;
-  sweep_options.jobs = options_.sweep_jobs;
   sweep_options.deadline = ctx.deadline;
   // Degraded brownout: answer from residency alone — cache hits and
   // already-profiled grids succeed, cold cells fail fast as

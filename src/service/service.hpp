@@ -40,11 +40,6 @@ struct ServiceOptions {
   /// thread that called handle() once it holds a slot, so at most
   /// `workers` queries compute at once regardless of socket count.
   int workers = 0;
-  /// Sweep cell-evaluation workers *per query* (SweepOptions::jobs). The
-  /// default 1 evaluates a sweep's cells on the thread holding its slot;
-  /// raise it only for a low-concurrency deployment that wants
-  /// single-query latency.
-  int sweep_jobs = 1;
   /// Load-shedding bound: queries admitted (waiting for a slot or
   /// computing) at once.
   /// At the bound, new work is rejected as knl::Error Resource -> HTTP 429.

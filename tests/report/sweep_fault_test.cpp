@@ -1,7 +1,6 @@
-// Fault-determinism tests for the sweep engine: the same fault plan yields
-// the identical failure schedule, surviving results, and exact retry
-// counters whatever the job count; a substrate fault falls back to a
-// bit-identical serial evaluation; the watchdog re-run changes nothing.
+// Fault-determinism tests for the sweep engine: a fault plan yields an exact
+// failure schedule and exact retry counters, and absorbed transient faults
+// leave the surviving results bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +16,7 @@ namespace knl::report {
 namespace {
 
 // Exact (bitwise) figure equality — the determinism guarantee has no
-// tolerance (mirrors parallel_sweep_test).
+// tolerance (mirrors sweep_test).
 void expect_identical(const Figure& a, const Figure& b) {
   ASSERT_EQ(a.series().size(), b.series().size());
   for (std::size_t s = 0; s < a.series().size(); ++s) {
@@ -61,39 +60,25 @@ TEST(SweepFault, FailureScheduleIsIdenticalAcrossJobCounts) {
   const fault::ScopedFaultPlan scope(
       fault::FaultPlan::parse("seed=42;site=sweep-cell,every=2,kind=internal"));
 
-  const auto check_schedule = [](const SweepRun& run) {
-    // every=2 over cells 0..5: exactly 0, 2, 4 fail — pure plan arithmetic,
-    // independent of scheduling.
-    EXPECT_EQ(failure_indices(run), (std::vector<std::size_t>{0, 2, 4}));
-    EXPECT_EQ(run.stats.failed, 3u);
-    EXPECT_EQ(run.stats.retries, 0u);  // internal faults are not retried
-    for (const CellFailure& failure : run.failures) {
-      EXPECT_EQ(failure.category, ErrorCategory::Internal);
-      EXPECT_NE(failure.message.find("fault/injected"), std::string::npos);
-      EXPECT_FALSE(failure.label.empty());
-    }
-  };
-
-  const SweepRun serial = run_sizes(
-      {.jobs = 1, .memoize = false, .retry = kQuickRetry});
-  check_schedule(serial);
-  for (const int jobs : {2, 8}) {
-    fault::FaultInjector::instance().reset_schedule();
-    const SweepRun run = run_sizes(
-        {.jobs = jobs, .memoize = false, .retry = kQuickRetry});
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    check_schedule(run);
-    expect_identical(serial.figure, run.figure);  // survivors bit-identical
+  const SweepRun run = run_sizes({.memoize = false, .retry = kQuickRetry});
+  // every=2 over cells 0..5: exactly 0, 2, 4 fail — pure plan arithmetic.
+  EXPECT_EQ(failure_indices(run), (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(run.stats.failed, 3u);
+  EXPECT_EQ(run.stats.retries, 0u);  // internal faults are not retried
+  for (const CellFailure& failure : run.failures) {
+    EXPECT_EQ(failure.category, ErrorCategory::Internal);
+    EXPECT_NE(failure.message.find("fault/injected"), std::string::npos);
+    EXPECT_FALSE(failure.label.empty());
   }
   // The surviving cells' points still land in the figure.
   std::size_t points = 0;
-  for (const Series& s : serial.figure.series()) points += s.points.size();
+  for (const Series& s : run.figure.series()) points += s.points.size();
   EXPECT_EQ(points, 3u);
 }
 
 TEST(SweepFault, TransientFaultsAreAbsorbedBitIdentically) {
   // A clean reference run first (no plan armed).
-  const SweepRun clean = run_sizes({.jobs = 1, .memoize = false});
+  const SweepRun clean = run_sizes({.memoize = false});
 
   const fault::ScopedFaultPlan scope(fault::FaultPlan::parse(
       "seed=42;site=sweep-cell,rate=0.45,kind=transient,attempts=1"));
@@ -106,31 +91,21 @@ TEST(SweepFault, TransientFaultsAreAbsorbedBitIdentically) {
   }
   ASSERT_GT(planned, 0u) << "plan selects nothing; raise the rate";
 
-  for (const int jobs : {1, 4}) {
-    fault::FaultInjector::instance().reset_schedule();
-    const SweepRun run = run_sizes(
-        {.jobs = jobs, .memoize = false, .retry = kQuickRetry});
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    EXPECT_EQ(run.stats.retries, planned);  // exact, not approximate
-    EXPECT_EQ(run.stats.failed, 0u);
-    EXPECT_TRUE(run.failures.empty());
-    expect_identical(clean.figure, run.figure);  // zero drift
-  }
+  const SweepRun run = run_sizes({.memoize = false, .retry = kQuickRetry});
+  EXPECT_EQ(run.stats.retries, planned);  // exact, not approximate
+  EXPECT_EQ(run.stats.failed, 0u);
+  EXPECT_TRUE(run.failures.empty());
+  expect_identical(clean.figure, run.figure);  // zero drift
 }
 
 TEST(SweepFault, ExactRetryCountersForAttemptBudgets) {
   // every=3 selects cells 0 and 3; attempts=2 means each fails twice and
-  // succeeds on the third try: exactly 4 retries, any job count.
+  // succeeds on the third try: exactly 4 retries.
   const fault::ScopedFaultPlan scope(fault::FaultPlan::parse(
       "seed=7;site=sweep-cell,every=3,kind=transient,attempts=2"));
-  for (const int jobs : {1, 8}) {
-    fault::FaultInjector::instance().reset_schedule();
-    const SweepRun run = run_sizes(
-        {.jobs = jobs, .memoize = false, .retry = kQuickRetry});
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    EXPECT_EQ(run.stats.retries, 4u);
-    EXPECT_EQ(run.stats.failed, 0u);
-  }
+  const SweepRun run = run_sizes({.memoize = false, .retry = kQuickRetry});
+  EXPECT_EQ(run.stats.retries, 4u);
+  EXPECT_EQ(run.stats.failed, 0u);
 }
 
 TEST(SweepFault, ExhaustedRetryBudgetCollectsEveryFailure) {
@@ -138,8 +113,7 @@ TEST(SweepFault, ExhaustedRetryBudgetCollectsEveryFailure) {
   // good, and *all* of them are reported — never just the first.
   const fault::ScopedFaultPlan scope(fault::FaultPlan::parse(
       "seed=1;site=sweep-cell,every=2,kind=transient,attempts=9"));
-  const SweepRun run = run_sizes(
-      {.jobs = 4, .memoize = false, .retry = kQuickRetry});
+  const SweepRun run = run_sizes({.memoize = false, .retry = kQuickRetry});
   EXPECT_EQ(failure_indices(run), (std::vector<std::size_t>{0, 2, 4}));
   EXPECT_EQ(run.stats.failed, 3u);
   // Each failed cell burned the full budget: 2 retries apiece.
@@ -153,33 +127,6 @@ TEST(SweepFault, ExhaustedRetryBudgetCollectsEveryFailure) {
   EXPECT_EQ(points, 3u);
 }
 
-TEST(SweepFault, PoolDispatchFaultFallsBackToSerialBitIdentically) {
-  const SweepRun clean = run_sizes({.jobs = 1, .memoize = false});
-
-  // A resource fault in the pool's task wrapper — before any cell body runs —
-  // is a substrate failure: the whole grid re-evaluates serially.
-  const fault::ScopedFaultPlan scope(fault::FaultPlan::parse(
-      "seed=3;site=thread-pool-dispatch,key=1,kind=resource"));
-  const SweepRun run = run_sizes(
-      {.jobs = 4, .memoize = false, .retry = kQuickRetry});
-  EXPECT_EQ(run.stats.serial_fallbacks, 1u);
-  EXPECT_EQ(run.stats.failed, 0u);
-  EXPECT_TRUE(run.failures.empty());
-  expect_identical(clean.figure, run.figure);
-}
-
-TEST(SweepFault, WatchdogRerunsOverdueCellsToIdenticalResults) {
-  const SweepRun clean = run_sizes({.jobs = 1, .memoize = false});
-
-  // A 1-nanosecond deadline: every parallel cell overruns it and is re-run
-  // serially. Deterministic cells recompute to bit-identical results.
-  const SweepRun run = run_sizes(
-      {.jobs = 4, .memoize = false, .cell_deadline_ms = 1e-6});
-  EXPECT_EQ(run.stats.watchdog_trips, run.stats.cells);
-  EXPECT_EQ(run.stats.failed, 0u);
-  expect_identical(clean.figure, run.figure);
-}
-
 TEST(SweepFault, SummaryMentionsFaultCountersOnlyWhenSomethingFired) {
   SweepStats quiet{.cells = 6, .evaluated = 6};
   EXPECT_EQ(quiet.summary().find("faults:"), std::string::npos);
@@ -187,19 +134,21 @@ TEST(SweepFault, SummaryMentionsFaultCountersOnlyWhenSomethingFired) {
   quiet.retries = 2;
   quiet.failed = 1;
   const std::string line = quiet.summary();
-  EXPECT_NE(line.find("2 retries"), std::string::npos);
-  EXPECT_NE(line.find("1 failed"), std::string::npos);
+  EXPECT_NE(line.find("faults: 2 retries, 1 failed, 0 serial fallbacks"),
+            std::string::npos);
+
+  SweepStats fallback{.cells = 6, .evaluated = 6, .serial_fallbacks = 1};
+  EXPECT_NE(fallback.summary().find("faults: 0 retries, 0 failed, 1 serial fallbacks"),
+            std::string::npos);
 }
 
 TEST(SweepFault, StatsAccumulateFaultCounters) {
-  SweepStats a{.cells = 3, .retries = 1, .failed = 1, .watchdog_trips = 2,
-               .serial_fallbacks = 1};
-  const SweepStats b{.cells = 3, .retries = 2, .failed = 0, .watchdog_trips = 0,
-                     .serial_fallbacks = 1};
+  SweepStats a{.cells = 3, .retries = 1, .failed = 1, .serial_fallbacks = 1};
+  const SweepStats b{.cells = 3, .retries = 2, .failed = 0, .serial_fallbacks = 1};
   a += b;
+  EXPECT_EQ(a.cells, 6u);
   EXPECT_EQ(a.retries, 3u);
   EXPECT_EQ(a.failed, 1u);
-  EXPECT_EQ(a.watchdog_trips, 2u);
   EXPECT_EQ(a.serial_fallbacks, 2u);
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "report/sweep.hpp"
 #include "repro/experiment.hpp"
 #include "repro/journal.hpp"
 #include "repro/json.hpp"
@@ -60,6 +61,8 @@ TEST_F(CliTest, UnknownCommandAndFlagsExitUsage) {
   EXPECT_FALSE(err_.str().empty());
   EXPECT_EQ(run_cli({}), kExitUsage);
   EXPECT_EQ(run_cli({"help"}), kExitSuccess);
+  EXPECT_EQ(run_cli({"--help"}), kExitSuccess);
+  EXPECT_EQ(run_cli({"-h"}), kExitSuccess);
 }
 
 TEST_F(CliTest, DiffAgainstMissingGoldenDirExitsUsage) {
@@ -177,6 +180,15 @@ TEST_F(CliTest, RunOfOneFigurePrintsItsFigureShapeAndChecks) {
       << text;
   EXPECT_EQ(count_of(text, "\ncheck ok: "), spec.checks.size()) << text;
   EXPECT_EQ(count_of(text, "check FAILED"), 0u) << text;
+}
+
+TEST_F(CliTest, RunLeavesTheSweepCacheUntouched) {
+  const std::size_t inserts = report::SweepCache::instance().stats().inserts;
+  ASSERT_EQ(run_cli({"run", "--out", (dir_ / "out").string(), "--runs-dir",
+                     (dir_ / "runs").string(), "--only", "fig2_stream"}),
+            kExitSuccess)
+      << err_.str();
+  EXPECT_EQ(report::SweepCache::instance().stats().inserts, inserts);
 }
 
 TEST_F(CliTest, RunOfOneTablePrintsTheTableText) {

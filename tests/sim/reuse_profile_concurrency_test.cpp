@@ -1,7 +1,8 @@
 // Concurrent reads of one ReuseProfile.
 //
-// The sweep planner derives a capacity grid's cells in parallel from one
-// freshly computed, shared profile, so hits_for_ways must be a pure read.
+// The SweepCache hands one cached profile to every service query whose grid
+// shares its fingerprint, and those queries derive their cells concurrently,
+// so hits_for_ways must be a pure read.
 // Run under the TSan CI job: a lazily built cache behind the const API
 // shows up there as a data race even when the answers happen to agree.
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
-#include "report/sweep.hpp"
 #include "sim/reuse_profile.hpp"
 #include "trace/synth.hpp"
 #include "workloads/gups.hpp"
@@ -48,7 +48,7 @@ TEST(ReuseProfileConcurrency, HitsForWaysIsAPureReadUnderConcurrentQueries) {
   ASSERT_GT(serial.back(), 0u);
 
   // A second, never-queried profile: the first query on it races with the
-  // others, which is the planner's phase-2 situation.
+  // others, as concurrent service queries on a freshly cached profile do.
   const sim::ReuseProfile shared = fresh_profile(addrs);
   core::ThreadPool pool(kWorkers);
   std::latch start(kWorkers);
@@ -64,36 +64,6 @@ TEST(ReuseProfileConcurrency, HitsForWaysIsAPureReadUnderConcurrentQueries) {
     }));
   }
   for (auto& answer : answers) EXPECT_EQ(answer.get(), serial);
-}
-
-TEST(ReuseProfileConcurrency, ColdCapacityGridIsJobCountInvariant) {
-  report::CapacityGrid grid;
-  grid.line_bytes = 64;
-  grid.num_sets = 64;
-  grid.synth.max_addresses = 1u << 16;
-  for (std::uint64_t ways = 1; ways <= kMaxWays; ++ways) {
-    grid.capacities_bytes.push_back(ways * grid.line_bytes * grid.num_sets);
-  }
-  const Machine machine;
-  const auto profile = workloads::Gups(1 << 20).profile();
-  const auto cold_run = [&](int jobs) {
-    report::SweepCache::instance().clear();
-    report::SweepOptions options;
-    options.jobs = jobs;
-    return report::sweep_capacities_run(machine, profile, 64, grid,
-                                        report::Figure("capacity", "GB", ""), options);
-  };
-  const report::CapacitySweepRun serial = cold_run(1);
-  const report::CapacitySweepRun parallel = cold_run(kWorkers);
-  report::SweepCache::instance().clear();
-
-  ASSERT_EQ(serial.cells.size(), kMaxWays);
-  ASSERT_EQ(parallel.cells.size(), serial.cells.size());
-  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    EXPECT_EQ(parallel.cells[i].ways, serial.cells[i].ways) << "cell " << i;
-    EXPECT_EQ(parallel.cells[i].hit_rate, serial.cells[i].hit_rate) << "cell " << i;
-    EXPECT_EQ(parallel.cells[i].seconds, serial.cells[i].seconds) << "cell " << i;
-  }
 }
 
 }  // namespace
