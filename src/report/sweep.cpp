@@ -131,16 +131,6 @@ void account(SweepStats& stats, const CellOutcome& cell) {
   if (!cell.feasible) ++stats.infeasible;
 }
 
-/// Human label of one failed cell, e.g. "1073741824 B / HBM @ 64 threads".
-std::string size_cell_label(std::uint64_t bytes, MemConfig config, int threads) {
-  return std::to_string(bytes) + " B / " + std::string(to_string(config)) + " @ " +
-         std::to_string(threads) + " threads";
-}
-
-std::string thread_cell_label(int threads, MemConfig config) {
-  return "threads=" + std::to_string(threads) + " / " + std::string(to_string(config));
-}
-
 }  // namespace
 
 std::uint64_t profile_fingerprint(const trace::AccessProfile& profile) {
@@ -186,29 +176,15 @@ std::size_t ProfileKeyHash::operator()(const ProfileKey& key) const noexcept {
 // ---------------------------------------------------------------------------
 // SweepCache
 // ---------------------------------------------------------------------------
-SweepCache& SweepCache::instance() {
-  static SweepCache cache;
-  return cache;
-}
-
-SweepCache::Shard& SweepCache::shard_for(const SweepKey& key) const {
+template <typename Key, typename Hash, typename Value>
+auto SweepCache::Lru<Key, Hash, Value>::shard_for(const Key& key) const -> Shard& {
   // Top hash bits pick the shard; unordered_map consumes the low bits for
   // its buckets, so the two choices stay uncorrelated.
-  const std::size_t h = SweepKeyHash{}(key);
-  return shards_[(h >> 48) & (kShardCount - 1)];
+  return shards_[(Hash{}(key) >> 48) & (kShardCount - 1)];
 }
 
-void SweepCache::store_locked(Shard& shard, const SweepKey& key,
-                              const RunResult& result) {
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    it->second->result = result;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{key, result});
-  shard.index.emplace(key, shard.lru.begin());
-  const std::size_t bound = std::max<std::size_t>(1, shard_capacity());
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::evict_past(Shard& shard, std::size_t bound) {
   while (shard.index.size() > bound) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
@@ -216,7 +192,22 @@ void SweepCache::store_locked(Shard& shard, const SweepKey& key,
   }
 }
 
-std::optional<RunResult> SweepCache::lookup(const SweepKey& key) const {
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::store_locked(Shard& shard, const Key& key,
+                                                     const Value& value) {
+  inserts_.fetch_add(1, std::memory_order_relaxed);
+  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    it->second->value = value;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
+  }
+  shard.lru.push_front(Entry{key, value});
+  shard.index.emplace(key, shard.lru.begin());
+  evict_past(shard, std::max<std::size_t>(1, capacity() / kShardCount));
+}
+
+template <typename Key, typename Hash, typename Value>
+std::optional<Value> SweepCache::Lru<Key, Hash, Value>::lookup(const Key& key) const {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
@@ -226,21 +217,22 @@ std::optional<RunResult> SweepCache::lookup(const SweepKey& key) const {
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->result;
+  return it->second->value;
 }
 
-void SweepCache::store(const SweepKey& key, const RunResult& result) {
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::store(const Key& key, const Value& value) {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  store_locked(shard, key, result);
+  store_locked(shard, key, value);
 }
 
-RunResult SweepCache::fetch_or_compute(const SweepKey& key,
-                                       const std::function<RunResult()>& compute,
-                                       bool* cache_hit) {
+template <typename Key, typename Hash, typename Value>
+Value SweepCache::Lru<Key, Hash, Value>::fetch_or_compute(
+    const Key& key, const std::function<Value()>& compute, bool* cache_hit) {
   Shard& shard = shard_for(key);
-  std::shared_future<RunResult> herd;
-  std::promise<RunResult> mine;
+  std::shared_future<Value> herd;
+  std::promise<Value> mine;
   bool owner = false;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -248,7 +240,7 @@ RunResult SweepCache::fetch_or_compute(const SweepKey& key,
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       if (cache_hit != nullptr) *cache_hit = true;
-      return it->second->result;
+      return it->second->value;
     }
     if (const auto in = shard.inflight.find(key); in != shard.inflight.end()) {
       herd = in->second;  // join the herd: share the owner's computation
@@ -256,7 +248,7 @@ RunResult SweepCache::fetch_or_compute(const SweepKey& key,
     } else {
       owner = true;
       misses_.fetch_add(1, std::memory_order_relaxed);
-      shard.inflight.emplace(key, std::shared_future<RunResult>(mine.get_future()));
+      shard.inflight.emplace(key, std::shared_future<Value>(mine.get_future()));
     }
   }
   if (!owner) {
@@ -266,16 +258,16 @@ RunResult SweepCache::fetch_or_compute(const SweepKey& key,
   }
   if (cache_hit != nullptr) *cache_hit = false;
   try {
-    const RunResult result = compute();
+    const Value value = compute();
     {
       const std::lock_guard<std::mutex> lock(shard.mutex);
       // Insert before retiring the in-flight entry so no window exists in
       // which a third query finds neither and recomputes.
-      store_locked(shard, key, result);
+      store_locked(shard, key, value);
       shard.inflight.erase(key);
     }
-    mine.set_value(result);
-    return result;
+    mine.set_value(value);
+    return value;
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -286,164 +278,125 @@ RunResult SweepCache::fetch_or_compute(const SweepKey& key,
   }
 }
 
-SweepCache::ProfileShard& SweepCache::profile_shard_for(const ProfileKey& key) const {
-  const std::size_t h = ProfileKeyHash{}(key);
-  return profile_shards_[(h >> 48) & (kShardCount - 1)];
-}
-
-void SweepCache::store_profile_locked(ProfileShard& shard, const ProfileKey& key,
-                                      const ProfilePtr& profile) {
-  profile_inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    it->second->profile = profile;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(ProfileEntry{key, profile});
-  shard.index.emplace(key, shard.lru.begin());
-  const std::size_t bound = std::max<std::size_t>(1, profile_shard_capacity());
-  while (shard.index.size() > bound) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    profile_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-SweepCache::ProfilePtr SweepCache::lookup_profile(const ProfileKey& key) const {
-  ProfileShard& shard = profile_shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    profile_misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  profile_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->profile;
-}
-
-SweepCache::ProfilePtr SweepCache::fetch_or_compute_profile(
-    const ProfileKey& key, const std::function<ProfilePtr()>& compute,
-    bool* cache_hit) {
-  ProfileShard& shard = profile_shard_for(key);
-  std::shared_future<ProfilePtr> herd;
-  std::promise<ProfilePtr> mine;
-  bool owner = false;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      profile_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (cache_hit != nullptr) *cache_hit = true;
-      return it->second->profile;
-    }
-    if (const auto in = shard.inflight.find(key); in != shard.inflight.end()) {
-      herd = in->second;
-      profile_coalesced_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      owner = true;
-      profile_misses_.fetch_add(1, std::memory_order_relaxed);
-      shard.inflight.emplace(key, std::shared_future<ProfilePtr>(mine.get_future()));
-    }
-  }
-  if (!owner) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return herd.get();
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  try {
-    const ProfilePtr profile = compute();
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      store_profile_locked(shard, key, profile);
-      shard.inflight.erase(key);
-    }
-    mine.set_value(profile);
-    return profile;
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.inflight.erase(key);
-    }
-    mine.set_exception(std::current_exception());
-    throw;
-  }
-}
-
-std::size_t SweepCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.index.size();
-  }
-  return total;
-}
-
-std::size_t SweepCache::capacity() const {
-  return capacity_.load(std::memory_order_relaxed);
-}
-
-void SweepCache::set_capacity(std::size_t max_entries) {
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::set_capacity(std::size_t max_entries) {
   const std::size_t per_shard =
       std::max<std::size_t>(1, (max_entries + kShardCount - 1) / kShardCount);
   capacity_.store(per_shard * kShardCount, std::memory_order_relaxed);
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    while (shard.index.size() > per_shard) {
-      shard.index.erase(shard.lru.back().key);
-      shard.lru.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    evict_past(shard, per_shard);
   }
 }
 
-void SweepCache::clear() {
+template <typename Key, typename Hash, typename Value>
+template <typename Visit>
+void SweepCache::Lru<Key, Hash, Value>::for_each(const Visit& visit) const {
+  for (Shard& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const Entry& entry : shard.lru) visit(entry.key, entry.value);
+  }
+}
+
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::clear() {
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     shard.index.clear();
     shard.lru.clear();
   }
-  for (ProfileShard& shard : profile_shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.index.clear();
-    shard.lru.clear();
-  }
 }
 
-SweepCacheStats SweepCache::stats() const {
-  SweepCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.entries = size();
-  s.capacity = capacity();
-  s.shards = kShardCount;
-  s.profile_hits = profile_hits_.load(std::memory_order_relaxed);
-  s.profile_misses = profile_misses_.load(std::memory_order_relaxed);
-  s.profile_inserts = profile_inserts_.load(std::memory_order_relaxed);
-  s.profile_evictions = profile_evictions_.load(std::memory_order_relaxed);
-  s.profile_coalesced = profile_coalesced_.load(std::memory_order_relaxed);
-  for (const ProfileShard& shard : profile_shards_) {
+template <typename Key, typename Hash, typename Value>
+auto SweepCache::Lru<Key, Hash, Value>::counts() const -> Counts {
+  Counts c{hits_.load(std::memory_order_relaxed),
+           misses_.load(std::memory_order_relaxed),
+           evictions_.load(std::memory_order_relaxed),
+           coalesced_.load(std::memory_order_relaxed),
+           inserts_.load(std::memory_order_relaxed)};
+  for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    s.profile_entries += shard.index.size();
+    c.entries += shard.index.size();
   }
-  s.profile_capacity = profile_capacity_.load(std::memory_order_relaxed);
-  return s;
+  return c;
 }
 
-void SweepCache::reset_stats() {
+template <typename Key, typename Hash, typename Value>
+void SweepCache::Lru<Key, Hash, Value>::reset_counts() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
   coalesced_.store(0, std::memory_order_relaxed);
   inserts_.store(0, std::memory_order_relaxed);
-  profile_hits_.store(0, std::memory_order_relaxed);
-  profile_misses_.store(0, std::memory_order_relaxed);
-  profile_evictions_.store(0, std::memory_order_relaxed);
-  profile_coalesced_.store(0, std::memory_order_relaxed);
-  profile_inserts_.store(0, std::memory_order_relaxed);
+}
+
+SweepCache& SweepCache::instance() {
+  static SweepCache cache;
+  return cache;
+}
+
+std::optional<RunResult> SweepCache::lookup(const SweepKey& key) const {
+  return results_.lookup(key);
+}
+
+void SweepCache::store(const SweepKey& key, const RunResult& result) {
+  results_.store(key, result);
+}
+
+RunResult SweepCache::fetch_or_compute(const SweepKey& key,
+                                       const std::function<RunResult()>& compute,
+                                       bool* cache_hit) {
+  return results_.fetch_or_compute(key, compute, cache_hit);
+}
+
+SweepCache::ProfilePtr SweepCache::lookup_profile(const ProfileKey& key) const {
+  return profiles_.lookup(key).value_or(nullptr);
+}
+
+SweepCache::ProfilePtr SweepCache::fetch_or_compute_profile(
+    const ProfileKey& key, const std::function<ProfilePtr()>& compute,
+    bool* cache_hit) {
+  return profiles_.fetch_or_compute(key, compute, cache_hit);
+}
+
+std::size_t SweepCache::size() const { return results_.counts().entries; }
+
+std::size_t SweepCache::capacity() const { return results_.capacity(); }
+
+void SweepCache::set_capacity(std::size_t max_entries) {
+  results_.set_capacity(max_entries);
+}
+
+void SweepCache::clear() {
+  results_.clear();
+  profiles_.clear();
+}
+
+void SweepCache::reset_stats() {
+  results_.reset_counts();
+  profiles_.reset_counts();
+}
+
+SweepCacheStats SweepCache::stats() const {
+  const auto results = results_.counts();
+  const auto profiles = profiles_.counts();
+  SweepCacheStats s;
+  s.hits = results.hits;
+  s.misses = results.misses;
+  s.evictions = results.evictions;
+  s.coalesced = results.coalesced;
+  s.inserts = results.inserts;
+  s.entries = results.entries;
+  s.capacity = results_.capacity();
+  s.shards = kShardCount;
+  s.profile_hits = profiles.hits;
+  s.profile_misses = profiles.misses;
+  s.profile_inserts = profiles.inserts;
+  s.profile_evictions = profiles.evictions;
+  s.profile_coalesced = profiles.coalesced;
+  s.profile_entries = profiles.entries;
+  s.profile_capacity = profiles_.capacity();
+  return s;
 }
 
 namespace {
@@ -459,24 +412,19 @@ std::string cache_header() {
 std::string SweepCache::serialize() const {
   std::string out = cache_header() + "\n";
   char line[kMaxSerializedLineBytes];
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const Entry& entry : shard.lru) {
-      const SweepKey& key = entry.key;
-      const RunResult& r = entry.result;
-      // Hex floats (%a) round-trip doubles exactly, keeping warm-cache runs
-      // bit-identical to cold ones. The free-form infeasibility reason goes
-      // last so it may contain spaces; "-" marks an empty reason.
-      const int n = std::snprintf(
-          line, sizeof(line),
-          "%016" PRIx64 " %016" PRIx64 " %d %d %d %a %a %a %a %a %a %s\n",
-          key.profile_hash, key.machine_hash, static_cast<int>(key.config),
-          key.threads, r.feasible ? 1 : 0, r.seconds, r.bytes_from_memory,
-          r.flops, r.avg_latency_ns, r.achieved_bw_gbs, r.mcdram_hit_rate,
-          r.infeasible_reason.empty() ? "-" : r.infeasible_reason.c_str());
-      if (n > 0 && static_cast<std::size_t>(n) < sizeof(line)) out += line;
-    }
-  }
+  results_.for_each([&](const SweepKey& key, const RunResult& r) {
+    // Hex floats (%a) round-trip doubles exactly, keeping warm-cache runs
+    // bit-identical to cold ones. The free-form infeasibility reason goes
+    // last so it may contain spaces; "-" marks an empty reason.
+    const int n = std::snprintf(
+        line, sizeof(line),
+        "%016" PRIx64 " %016" PRIx64 " %d %d %d %a %a %a %a %a %a %s\n",
+        key.profile_hash, key.machine_hash, static_cast<int>(key.config),
+        key.threads, r.feasible ? 1 : 0, r.seconds, r.bytes_from_memory, r.flops,
+        r.avg_latency_ns, r.achieved_bw_gbs, r.mcdram_hit_rate,
+        r.infeasible_reason.empty() ? "-" : r.infeasible_reason.c_str());
+    if (n > 0 && static_cast<std::size_t>(n) < sizeof(line)) out += line;
+  });
   return out;
 }
 
@@ -513,7 +461,12 @@ bool SweepCache::deserialize(const std::string& text) {
         &key.profile_hash, &key.machine_hash, &config, &key.threads, &feasible,
         &r.seconds, &r.bytes_from_memory, &r.flops, &r.avg_latency_ns,
         &r.achieved_bw_gbs, &r.mcdram_hit_rate, &consumed);
-    if (fields != 11) continue;  // skip malformed lines, keep the rest
+    // Skip malformed lines, configs outside the enum and negative thread
+    // counts; keep the rest.
+    if (fields != 11 || config < 0 || config > static_cast<int>(MemConfig::CacheMode) ||
+        key.threads < 0) {
+      continue;
+    }
     key.config = static_cast<MemConfig>(config);
     r.feasible = feasible != 0;
     std::string reason(line + consumed);
@@ -530,20 +483,81 @@ bool SweepCache::deserialize(const std::string& text) {
 // ---------------------------------------------------------------------------
 // Cell evaluation
 // ---------------------------------------------------------------------------
-RunResult cached_run(const Machine& machine, const trace::AccessProfile& profile,
-                     const RunConfig& run_config, bool* cache_hit) {
-  const SweepKey key{profile_fingerprint(profile), machine.fingerprint(),
-                     run_config.config, run_config.threads};
-  return SweepCache::instance().fetch_or_compute(
-      key, [&] { return machine.run(profile, run_config); }, cache_hit);
+namespace {
+
+SweepKey cell_key(const Machine& machine, const trace::AccessProfile& profile,
+                  const RunConfig& run_config) {
+  return SweepKey{profile_fingerprint(profile), machine.fingerprint(), run_config.config,
+                  run_config.threads};
 }
 
-std::optional<RunResult> cached_lookup(const Machine& machine,
-                                       const trace::AccessProfile& profile,
-                                       const RunConfig& run_config) {
-  const SweepKey key{profile_fingerprint(profile), machine.fingerprint(),
-                     run_config.config, run_config.threads};
-  return SweepCache::instance().lookup(key);
+/// One size- or thread-sweep cell: the workload's metric under `run_config`,
+/// from the SweepCache alone (cache_only), through it (memoize), or
+/// simulated directly. The caller sets x.
+CellOutcome eval_cell(const Machine& machine, const workloads::Workload& workload,
+                      const trace::AccessProfile& profile, const RunConfig& run_config,
+                      const SweepOptions& options) {
+  CellOutcome cell;
+  RunResult result;
+  if (options.cache_only) {
+    const auto hit = SweepCache::instance().lookup(cell_key(machine, profile, run_config));
+    if (!hit.has_value()) {
+      throw Error::resource("sweep/cache-only-miss",
+                            "cell not resident in the SweepCache and the "
+                            "service is degraded (cache-only mode)");
+    }
+    cell.cache_hit = true;
+    result = *hit;
+  } else if (options.memoize) {
+    result = cached_run(machine, profile, run_config, &cell.cache_hit);
+  } else {
+    result = machine.run(profile, run_config);
+  }
+  cell.feasible = result.feasible;
+  if (result.feasible) cell.y = workload.metric(result);
+  return cell;
+}
+
+/// The rows × configs grid of a size or thread sweep: cell i is row
+/// i / configs.size() under configs[i % configs.size()]. `eval(row, config)`
+/// evaluates one cell; `label(row, config)` names one that failed.
+template <typename Eval, typename Label>
+SweepRun run_config_grid(std::size_t rows, const std::vector<MemConfig>& configs,
+                         Figure figure, const SweepOptions& options, const Eval& eval,
+                         const Label& label) {
+  const auto start = Clock::now();
+  const std::vector<CellOutcome> outcomes =
+      run_grid(options, rows * configs.size(), [&](std::size_t index) {
+        const auto cell_start = Clock::now();
+        CellOutcome cell = eval(index / configs.size(), configs[index % configs.size()]);
+        cell.seconds = seconds_since(cell_start);
+        return cell;
+      });
+
+  SweepRun run{std::move(figure), {}, {}};
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const CellOutcome& cell = outcomes[i];
+    const MemConfig config = configs[i % configs.size()];
+    account(run.stats, cell);
+    if (!cell.ok) {
+      run.failures.push_back(
+          {i, label(i / configs.size(), config), cell.category, cell.message});
+      continue;
+    }
+    if (!cell.feasible) continue;  // paper: no bar when HBM can't hold it
+    run.figure.add(to_string(config), cell.x, cell.y);
+  }
+  run.stats.wall_seconds = seconds_since(start);
+  return run;
+}
+
+}  // namespace
+
+RunResult cached_run(const Machine& machine, const trace::AccessProfile& profile,
+                     const RunConfig& run_config, bool* cache_hit) {
+  return SweepCache::instance().fetch_or_compute(
+      cell_key(machine, profile, run_config),
+      [&] { return machine.run(profile, run_config); }, cache_hit);
 }
 
 // ---------------------------------------------------------------------------
@@ -553,130 +567,39 @@ SweepRun sweep_sizes_run(const Machine& machine, const WorkloadFactory& factory,
                          const std::vector<std::uint64_t>& sizes_bytes, int threads,
                          const std::vector<MemConfig>& configs, Figure figure,
                          const SweepOptions& options) {
-  const auto start = Clock::now();
-  const std::size_t cells = sizes_bytes.size() * configs.size();
-
-  const auto eval = [&](std::size_t index) {
-    const auto cell_start = Clock::now();
-    const std::uint64_t bytes = sizes_bytes[index / configs.size()];
-    const MemConfig config = configs[index % configs.size()];
-
-    CellOutcome cell;
-    const auto workload = factory(bytes);
-    cell.x = static_cast<double>(workload->footprint_bytes()) / 1e9;
-    const RunConfig run_config{config, threads};
-    RunResult result;
-    if (options.cache_only) {
-      const auto hit = cached_lookup(machine, workload->profile(), run_config);
-      if (!hit.has_value()) {
-        throw Error::resource("sweep/cache-only-miss",
-                              "cell not resident in the SweepCache and the "
-                              "service is degraded (cache-only mode)");
-      }
-      cell.cache_hit = true;
-      result = *hit;
-    } else if (options.memoize) {
-      result = cached_run(machine, workload->profile(), run_config, &cell.cache_hit);
-    } else {
-      result = machine.run(workload->profile(), run_config);
-    }
-    cell.feasible = result.feasible;
-    if (result.feasible) cell.y = workload->metric(result);
-    cell.seconds = seconds_since(cell_start);
-    return cell;
-  };
-
-  SweepRun run{std::move(figure), {}, {}};
-  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval);
-
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const CellOutcome& cell = outcomes[i];
-    account(run.stats, cell);
-    if (!cell.ok) {
-      run.failures.push_back({i,
-                              size_cell_label(sizes_bytes[i / configs.size()],
-                                              configs[i % configs.size()], threads),
-                              cell.category, cell.message});
-      continue;
-    }
-    if (!cell.feasible) continue;  // paper: no bar when HBM can't hold it
-    run.figure.add(to_string(configs[i % configs.size()]), cell.x, cell.y);
-  }
-  run.stats.wall_seconds = seconds_since(start);
-  return run;
+  return run_config_grid(
+      sizes_bytes.size(), configs, std::move(figure), options,
+      [&](std::size_t row, MemConfig config) {
+        const auto workload = factory(sizes_bytes[row]);
+        CellOutcome cell = eval_cell(machine, *workload, workload->profile(),
+                                     RunConfig{config, threads}, options);
+        cell.x = static_cast<double>(workload->footprint_bytes()) / 1e9;
+        return cell;
+      },
+      // e.g. "1073741824 B / HBM @ 64 threads"
+      [&](std::size_t row, MemConfig config) {
+        return std::to_string(sizes_bytes[row]) + " B / " + std::string(to_string(config)) +
+               " @ " + std::to_string(threads) + " threads";
+      });
 }
 
 SweepRun sweep_threads_run(const Machine& machine, const workloads::Workload& workload,
                            const std::vector<int>& thread_counts,
                            const std::vector<MemConfig>& configs, Figure figure,
                            const SweepOptions& options) {
-  const auto start = Clock::now();
   const trace::AccessProfile profile = workload.profile();
-  const std::size_t cells = thread_counts.size() * configs.size();
-
-  const auto eval = [&](std::size_t index) {
-    const auto cell_start = Clock::now();
-    const int threads = thread_counts[index / configs.size()];
-    const MemConfig config = configs[index % configs.size()];
-
-    CellOutcome cell;
-    cell.x = static_cast<double>(threads);
-    const RunConfig run_config{config, threads};
-    RunResult result;
-    if (options.cache_only) {
-      const auto hit = cached_lookup(machine, profile, run_config);
-      if (!hit.has_value()) {
-        throw Error::resource("sweep/cache-only-miss",
-                              "cell not resident in the SweepCache and the "
-                              "service is degraded (cache-only mode)");
-      }
-      cell.cache_hit = true;
-      result = *hit;
-    } else if (options.memoize) {
-      result = cached_run(machine, profile, run_config, &cell.cache_hit);
-    } else {
-      result = machine.run(profile, run_config);
-    }
-    cell.feasible = result.feasible;
-    if (result.feasible) cell.y = workload.metric(result);
-    cell.seconds = seconds_since(cell_start);
-    return cell;
-  };
-
-  SweepRun run{std::move(figure), {}, {}};
-  const std::vector<CellOutcome> outcomes = run_grid(options, cells, eval);
-
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const CellOutcome& cell = outcomes[i];
-    account(run.stats, cell);
-    if (!cell.ok) {
-      run.failures.push_back({i,
-                              thread_cell_label(thread_counts[i / configs.size()],
-                                                configs[i % configs.size()]),
-                              cell.category, cell.message});
-      continue;
-    }
-    if (!cell.feasible) continue;
-    run.figure.add(to_string(configs[i % configs.size()]), cell.x, cell.y);
-  }
-  run.stats.wall_seconds = seconds_since(start);
-  return run;
-}
-
-Figure sweep_sizes(const Machine& machine, const WorkloadFactory& factory,
-                   const std::vector<std::uint64_t>& sizes_bytes, int threads,
-                   const std::vector<MemConfig>& configs, Figure figure) {
-  return sweep_sizes_run(machine, factory, sizes_bytes, threads, configs,
-                         std::move(figure))
-      .figure;
-}
-
-Figure sweep_threads(const Machine& machine, const workloads::Workload& workload,
-                     const std::vector<int>& thread_counts,
-                     const std::vector<MemConfig>& configs, Figure figure) {
-  return sweep_threads_run(machine, workload, thread_counts, configs,
-                           std::move(figure))
-      .figure;
+  return run_config_grid(
+      thread_counts.size(), configs, std::move(figure), options,
+      [&](std::size_t row, MemConfig config) {
+        CellOutcome cell = eval_cell(machine, workload, profile,
+                                     RunConfig{config, thread_counts[row]}, options);
+        cell.x = static_cast<double>(thread_counts[row]);
+        return cell;
+      },
+      [&](std::size_t row, MemConfig config) {
+        return "threads=" + std::to_string(thread_counts[row]) + " / " +
+               std::string(to_string(config));
+      });
 }
 
 SweepStats& SweepStats::operator+=(const SweepStats& other) {
@@ -688,7 +611,6 @@ SweepStats& SweepStats::operator+=(const SweepStats& other) {
   wall_seconds += other.wall_seconds;
   retries += other.retries;
   failed += other.failed;
-  serial_fallbacks += other.serial_fallbacks;
   profile_passes += other.profile_passes;
   profile_hits += other.profile_hits;
   cells_derived += other.cells_derived;
@@ -713,10 +635,9 @@ std::string SweepStats::summary() const {
   }
   // Fault accounting only when something fired, keeping clean-run logs clean.
   if (n > 0 && static_cast<std::size_t>(n) < sizeof(buffer) &&
-      (retries != 0 || failed != 0 || serial_fallbacks != 0)) {
+      (retries != 0 || failed != 0)) {
     std::snprintf(buffer + n, sizeof(buffer) - static_cast<std::size_t>(n),
-                  ", faults: %zu retries, %zu failed, %zu serial fallbacks",
-                  retries, failed, serial_fallbacks);
+                  ", faults: %zu retries, %zu failed", retries, failed);
   }
   return buffer;
 }

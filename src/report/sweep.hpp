@@ -81,7 +81,8 @@ struct SweepStats {
   std::size_t evaluated = 0;
   std::size_t cache_hits = 0;
   std::size_t infeasible = 0;
-  /// Sum of per-cell evaluation wall times (what a serial engine would pay).
+  /// Sum of per-cell evaluation wall times; wall_seconds less this is the
+  /// sweep's own setup and merge.
   double cell_seconds = 0.0;
   /// Wall time of the whole sweep call, dispatch and merge included.
   double wall_seconds = 0.0;
@@ -91,9 +92,6 @@ struct SweepStats {
   /// Cells that still failed after the retry budget; their errors are in
   /// SweepRun::failures, the surviving cells' points are in the figure.
   std::size_t failed = 0;
-  /// Experiments that repro::Pipeline::run_each re-ran inline after a
-  /// ThreadPool dispatch fault. Sweeps themselves never set it.
-  std::size_t serial_fallbacks = 0;
   /// Single-pass accounting (capacity sweeps only): profiling passes
   /// computed now, passes served from the profile cache, and grid cells
   /// answered from a profile histogram instead of a per-cell replay.
@@ -205,7 +203,9 @@ struct ProfileKeyHash {
 /// discipline: hot results resident, cold ones recomputed on demand).
 /// Identical concurrent misses are *coalesced*: the first caller computes,
 /// the rest wait on its future — a thundering herd of equal (profile,
-/// machine, config, threads) fingerprints costs one simulation.
+/// machine, config, threads) fingerprints costs one simulation. The result
+/// side and the reuse-profile side are two instances of one such sharded
+/// LRU (Lru below), each with its own bound and counters.
 ///
 /// serialize()/deserialize() render entries as text (hex-float exact
 /// round-trip), the payload knl-serve's snapshot persists so a restarted
@@ -256,8 +256,8 @@ class SweepCache {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const;
-  /// Re-bound the cache (rounded up to a multiple of kShardCount, min one
-  /// entry per shard), evicting LRU entries that no longer fit.
+  /// Re-bound the result side (rounded up to a multiple of kShardCount, min
+  /// one entry per shard), evicting LRU entries that no longer fit.
   void set_capacity(std::size_t max_entries);
   void clear();
 
@@ -276,80 +276,81 @@ class SweepCache {
   bool deserialize(const std::string& text);
 
  private:
-  struct Entry {
-    SweepKey key;
-    RunResult result;
-  };
-  /// One shard: mutex, LRU list (front = most recent), index into it, and
-  /// the in-flight table coalescing concurrent identical misses.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> lru;
-    std::unordered_map<SweepKey, std::list<Entry>::iterator, SweepKeyHash> index;
-    std::unordered_map<SweepKey, std::shared_future<RunResult>, SweepKeyHash> inflight;
-  };
-  struct ProfileEntry {
-    ProfileKey key;
-    ProfilePtr profile;
-  };
-  /// Profile shard: same discipline as Shard, holding shared immutable
-  /// histograms instead of RunResults.
-  struct ProfileShard {
-    mutable std::mutex mutex;
-    std::list<ProfileEntry> lru;
-    std::unordered_map<ProfileKey, std::list<ProfileEntry>::iterator, ProfileKeyHash>
-        index;
-    std::unordered_map<ProfileKey, std::shared_future<ProfilePtr>, ProfileKeyHash>
-        inflight;
+  /// One side of the cache: kShardCount shards, each with its own mutex,
+  /// LRU list (front = most recent), index into it and in-flight table
+  /// coalescing concurrent identical misses, bounded at capacity /
+  /// kShardCount entries per shard; plus the side's counters.
+  template <typename Key, typename Hash, typename Value>
+  class Lru {
+   public:
+    struct Counts {
+      std::size_t hits = 0;
+      std::size_t misses = 0;
+      std::size_t evictions = 0;
+      std::size_t coalesced = 0;
+      std::size_t inserts = 0;
+      std::size_t entries = 0;
+    };
+
+    explicit Lru(std::size_t capacity) : capacity_(capacity) {}
+
+    [[nodiscard]] std::optional<Value> lookup(const Key& key) const;
+    void store(const Key& key, const Value& value);
+    [[nodiscard]] Value fetch_or_compute(const Key& key,
+                                         const std::function<Value()>& compute,
+                                         bool* cache_hit);
+    [[nodiscard]] std::size_t capacity() const {
+      return capacity_.load(std::memory_order_relaxed);
+    }
+    void set_capacity(std::size_t max_entries);
+    /// Calls visit(key, value) for every entry, shard by shard in LRU order.
+    template <typename Visit>
+    void for_each(const Visit& visit) const;
+    void clear();
+    [[nodiscard]] Counts counts() const;
+    void reset_counts();
+
+   private:
+    struct Entry {
+      Key key;
+      Value value;
+    };
+    struct Shard {
+      std::mutex mutex;
+      std::list<Entry> lru;
+      std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index;
+      std::unordered_map<Key, std::shared_future<Value>, Hash> inflight;
+    };
+
+    Shard& shard_for(const Key& key) const;
+    /// Insert/refresh under the shard lock, evicting past the per-shard bound.
+    void store_locked(Shard& shard, const Key& key, const Value& value);
+    void evict_past(Shard& shard, std::size_t bound);
+
+    mutable std::array<Shard, kShardCount> shards_;
+    std::atomic<std::size_t> capacity_;
+    mutable std::atomic<std::size_t> hits_{0};
+    mutable std::atomic<std::size_t> misses_{0};
+    std::atomic<std::size_t> evictions_{0};
+    std::atomic<std::size_t> coalesced_{0};
+    std::atomic<std::size_t> inserts_{0};
   };
 
   SweepCache() = default;
 
-  [[nodiscard]] Shard& shard_for(const SweepKey& key) const;
-  [[nodiscard]] ProfileShard& profile_shard_for(const ProfileKey& key) const;
-  /// Insert/refresh under the shard lock, evicting past the per-shard bound.
-  void store_locked(Shard& shard, const SweepKey& key, const RunResult& result);
-  void store_profile_locked(ProfileShard& shard, const ProfileKey& key,
-                            const ProfilePtr& profile);
-  [[nodiscard]] std::size_t shard_capacity() const {
-    return capacity_.load(std::memory_order_relaxed) / kShardCount;
-  }
-  [[nodiscard]] std::size_t profile_shard_capacity() const {
-    return profile_capacity_.load(std::memory_order_relaxed) / kShardCount;
-  }
-
-  mutable std::array<Shard, kShardCount> shards_;
-  mutable std::array<ProfileShard, kShardCount> profile_shards_;
-  std::atomic<std::size_t> capacity_{kDefaultCapacity};
-  std::atomic<std::size_t> profile_capacity_{kDefaultProfileCapacity};
-  mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> evictions_{0};
-  std::atomic<std::size_t> coalesced_{0};
-  std::atomic<std::size_t> inserts_{0};
-  mutable std::atomic<std::size_t> profile_hits_{0};
-  mutable std::atomic<std::size_t> profile_misses_{0};
-  std::atomic<std::size_t> profile_evictions_{0};
-  std::atomic<std::size_t> profile_coalesced_{0};
-  std::atomic<std::size_t> profile_inserts_{0};
+  Lru<SweepKey, SweepKeyHash, RunResult> results_{kDefaultCapacity};
+  Lru<ProfileKey, ProfileKeyHash, ProfilePtr> profiles_{kDefaultProfileCapacity};
 };
 
 /// Run one (profile, run-config) cell through the memoization cache: on a
 /// hit returns the cached RunResult, otherwise simulates and stores. Sets
 /// `*cache_hit` accordingly when non-null. The building block the sweep
-/// engine uses per cell, exposed for benches with bespoke grids (Fig. 5's
-/// per-hardware-thread series).
+/// engine uses per cell, exposed for single-cell queries (the service's
+/// /whatif).
 [[nodiscard]] RunResult cached_run(const Machine& machine,
                                    const trace::AccessProfile& profile,
                                    const RunConfig& run_config,
                                    bool* cache_hit = nullptr);
-
-/// Cache-only probe of the same key cached_run uses: the resident result,
-/// or nullopt without simulating anything. The brownout path of degraded
-/// sweeps (SweepOptions::cache_only).
-[[nodiscard]] std::optional<RunResult> cached_lookup(
-    const Machine& machine, const trace::AccessProfile& profile,
-    const RunConfig& run_config);
 
 /// Fig. 4-style sweep: metric vs problem size for each memory config at a
 /// fixed thread count. Infeasible runs (e.g. HBM beyond 16 GB) are omitted,
@@ -369,19 +370,6 @@ class SweepCache {
                                          const std::vector<MemConfig>& configs,
                                          Figure figure,
                                          const SweepOptions& options = {});
-
-/// Classic serial-signature sweep (kept for existing callers and tests):
-/// exactly sweep_sizes_run(...).figure with default options.
-[[nodiscard]] Figure sweep_sizes(const Machine& machine, const WorkloadFactory& factory,
-                                 const std::vector<std::uint64_t>& sizes_bytes,
-                                 int threads, const std::vector<MemConfig>& configs,
-                                 Figure figure);
-
-/// Classic serial-signature thread sweep; see sweep_threads_run.
-[[nodiscard]] Figure sweep_threads(const Machine& machine,
-                                   const workloads::Workload& workload,
-                                   const std::vector<int>& thread_counts,
-                                   const std::vector<MemConfig>& configs, Figure figure);
 
 /// Add "speedup vs first x" series (the black improvement lines of the
 /// paper's figures): for each existing series, appends a new series named

@@ -224,7 +224,9 @@ void print_result_line(const ExperimentResult& result, std::ostream& out) {
   }
   out << "  " << result.id << ": " << result.stats.cells << " cells ("
       << result.stats.infeasible << " infeasible), " << result.figure.series().size()
-      << " series, checks " << passed << "/" << result.checks.size() << '\n';
+      << " series, checks " << passed << "/" << result.checks.size();
+  if (result.serial_fallbacks != 0) out << ", re-ran inline after a dispatch fault";
+  out << '\n';
   for (const CheckOutcome& outcome : result.checks) {
     if (!outcome.passed) {
       out << "    FAILED check: " << outcome.check.description << " — "

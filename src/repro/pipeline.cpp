@@ -246,7 +246,7 @@ std::vector<ExperimentOutcome> Pipeline::run_each(
       // pool itself (an injected dispatch fault fires in the task wrapper,
       // before the experiment starts): run it here instead.
       run_one(i);
-      if (outcomes[i].result) ++outcomes[i].result->stats.serial_fallbacks;
+      if (outcomes[i].result) ++outcomes[i].result->serial_fallbacks;
     }
   }
   return outcomes;

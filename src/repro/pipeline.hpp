@@ -62,6 +62,9 @@ struct ExperimentResult {
   std::string notes;       ///< extra deterministic record (e.g. idle anchors)
   report::SweepStats stats;
   std::vector<CheckOutcome> checks;
+  /// Times Pipeline::run_each re-ran this experiment inline after a
+  /// ThreadPool dispatch fault.
+  std::size_t serial_fallbacks = 0;
 
   [[nodiscard]] bool checks_passed() const;
 };
@@ -92,7 +95,7 @@ class Pipeline {
   /// workers; otherwise they run inline, stopping at the first error. A
   /// pool dispatch fault (the "thread-pool-dispatch" site, keyed by the
   /// spec's index) re-runs that experiment inline and counts one
-  /// `stats.serial_fallbacks`. `stop`, when given, is polled before each
+  /// `serial_fallbacks`. `stop`, when given, is polled before each
   /// experiment starts: once it returns true, experiments not yet started
   /// are skipped and their slots stay empty. `finish`, when given, is
   /// called with a slot's index and result on the thread that ran it, so

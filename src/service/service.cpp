@@ -80,6 +80,30 @@ std::uint64_t require_bytes(const Value& body, const std::string& key) {
   return static_cast<std::uint64_t>(raw);
 }
 
+/// The elements of a non-empty array; `shape` completes the error message
+/// "field '<key>' must be <shape>".
+const repro::json::Array& require_array(const Value& field, const std::string& key,
+                                        const char* shape = "a non-empty array") {
+  if (!field.is_array() || field.as_array().empty()) {
+    throw Error::corrupt_input("service/bad-field", "field '" + key + "' must be " + shape);
+  }
+  return field.as_array();
+}
+
+/// A non-empty array of byte counts, each in (0, 1e15].
+std::vector<std::uint64_t> require_byte_counts(const Value& field, const std::string& key,
+                                               const char* shape) {
+  std::vector<std::uint64_t> out;
+  for (const Value& item : require_array(field, key, shape)) {
+    if (!item.is_number() || !(item.as_number() > 0.0) || item.as_number() > 1e15) {
+      throw Error::corrupt_input("service/bad-field",
+                                 "'" + key + "' entries must be in (0, 1e15]");
+    }
+    out.push_back(static_cast<std::uint64_t>(item.as_number()));
+  }
+  return out;
+}
+
 int require_threads(const Value& body, const std::string& key, int fallback) {
   const double raw = number_or(body, key, fallback);
   if (raw < 1.0 || raw > 4096.0 || raw != std::floor(raw)) {
@@ -105,12 +129,8 @@ std::vector<MemConfig> parse_configs(const Value& body) {
   if (v == nullptr) {
     return {MemConfig::DRAM, MemConfig::HBM, MemConfig::CacheMode};
   }
-  if (!v->is_array() || v->as_array().empty()) {
-    throw Error::corrupt_input("service/bad-field",
-                               "field 'configs' must be a non-empty array");
-  }
   std::vector<MemConfig> configs;
-  for (const Value& item : v->as_array()) {
+  for (const Value& item : require_array(*v, "configs")) {
     if (!item.is_string()) {
       throw Error::corrupt_input("service/bad-field",
                                  "field 'configs' must hold strings");
@@ -183,6 +203,17 @@ Value capacity_cell_json(const report::CapacityCell& cell) {
   out.set("seconds", cell.seconds);
   out.set("profile_hit", cell.profile_hit);
   return out;
+}
+
+/// The registry entry named by the body's "workload" field.
+const workloads::RegistryEntry& require_workload(const Value& body) {
+  const std::string name = require_string(body, "workload");
+  try {
+    return workloads::find_workload(name);
+  } catch (const std::exception&) {
+    throw Error::corrupt_input("service/unknown-workload",
+                               "unknown workload '" + name + "'");
+  }
 }
 
 /// Shared grid-geometry parsing for /sweep capacity mode and /whatif's
@@ -615,34 +646,27 @@ Value PlacementService::do_placement(const Value& body,
 Value PlacementService::do_whatif(const Value& body,
                                   const QueryContext& ctx) const {
   const Machine& machine = find_machine(body);
-  const std::string workload_name = require_string(body, "workload");
-  const workloads::RegistryEntry* entry = nullptr;
-  try {
-    entry = &workloads::find_workload(workload_name);
-  } catch (const std::exception&) {
-    throw Error::corrupt_input("service/unknown-workload",
-                               "unknown workload '" + workload_name + "'");
-  }
+  const workloads::RegistryEntry& entry = require_workload(body);
   const std::uint64_t bytes = require_bytes(body, "bytes");
   const int threads = require_threads(body, "threads", 64);
   const MemConfig config =
       parse_config(body.find("config") != nullptr ? require_string(body, "config")
                                                   : std::string("DRAM"));
 
-  const auto workload = entry->make(bytes);
+  const auto workload = entry.make(bytes);
   bool cache_hit = false;
   const RunResult result = report::cached_run(
       machine, workload->profile(), RunConfig{config, threads, 0.0}, &cache_hit);
 
   Value out = Value::object();
-  out.set("workload", entry->info.name);
+  out.set("workload", entry.info.name);
   out.set("config", to_string(config));
   out.set("threads", threads);
   out.set("footprint_bytes", static_cast<double>(workload->footprint_bytes()));
   out.set("result", run_result_json(result));
   if (result.feasible) {
     out.set("metric", workload->metric(result));
-    out.set("metric_name", entry->info.metric_name);
+    out.set("metric_name", entry.info.metric_name);
   }
   out.set("cache_hit", cache_hit);
   out.set("topology", topology_json(machine));
@@ -675,14 +699,7 @@ Value PlacementService::do_whatif(const Value& body,
 Value PlacementService::do_sweep(const Value& body,
                                  const QueryContext& ctx) const {
   const Machine& machine = find_machine(body);
-  const std::string workload_name = require_string(body, "workload");
-  const workloads::RegistryEntry* entry = nullptr;
-  try {
-    entry = &workloads::find_workload(workload_name);
-  } catch (const std::exception&) {
-    throw Error::corrupt_input("service/unknown-workload",
-                               "unknown workload '" + workload_name + "'");
-  }
+  const workloads::RegistryEntry& entry = require_workload(body);
   const std::vector<MemConfig> configs = parse_configs(body);
 
   const Value* sizes_field = body.find("sizes_bytes");
@@ -698,6 +715,14 @@ Value PlacementService::do_sweep(const Value& body,
         "(thread sweep) or 'capacities_bytes' (MCDRAM capacity sweep) is "
         "required");
   }
+  const auto check_cells = [this](std::size_t cells) {
+    if (cells > options_.max_sweep_cells) {
+      throw Error::corrupt_input(
+          "service/grid-too-large",
+          "sweep grid exceeds " + std::to_string(options_.max_sweep_cells) +
+              " cells; split the query");
+    }
+  };
 
   report::SweepOptions sweep_options;
   sweep_options.deadline = ctx.deadline;
@@ -706,12 +731,13 @@ Value PlacementService::do_sweep(const Value& body,
   // sweep/cache-only-miss instead of competing for the simulator.
   sweep_options.cache_only = ctx.degraded;
 
+  report::SweepRun run{report::Figure("sweep", "", ""), {}, {}};
+  Value cells;  // capacity mode only: one entry per grid cell
   if (capacities_field != nullptr) {
     // Capacity mode: one trace profiling pass answers the whole grid (and,
     // via the profile cache, later grids with the same fingerprint). The
     // literal string "auto" derives the axis from the machine's declared
     // topology (equal steps up to its cache-capable front tier).
-    std::vector<std::uint64_t> capacities;
     report::CapacityGrid grid;
     if (capacities_field->is_string() && capacities_field->as_string() == "auto") {
       grid = parse_capacity_grid(body, {});
@@ -722,102 +748,36 @@ Value PlacementService::do_sweep(const Value& body,
           machine.memory_topology(), grid.line_bytes * grid.num_sets,
           ctx.degraded ? 4 : 8);
     } else {
-      if (!capacities_field->is_array() || capacities_field->as_array().empty()) {
-        throw Error::corrupt_input(
-            "service/bad-field",
-            "field 'capacities_bytes' must be a non-empty array or \"auto\"");
-      }
-      for (const Value& item : capacities_field->as_array()) {
-        if (!item.is_number() || !(item.as_number() > 0.0) ||
-            item.as_number() > 1e15) {
-          throw Error::corrupt_input("service/bad-field",
-                                     "'capacities_bytes' entries must be in (0, 1e15]");
-        }
-        capacities.push_back(static_cast<std::uint64_t>(item.as_number()));
-      }
-      grid = parse_capacity_grid(body, std::move(capacities));
+      grid = parse_capacity_grid(
+          body, require_byte_counts(*capacities_field, "capacities_bytes",
+                                    "a non-empty array or \"auto\""));
     }
-    if (grid.capacities_bytes.size() > options_.max_sweep_cells) {
-      throw Error::corrupt_input(
-          "service/grid-too-large",
-          "sweep grid exceeds " + std::to_string(options_.max_sweep_cells) +
-              " cells; split the query");
-    }
+    check_cells(grid.capacities_bytes.size());
     const std::uint64_t bytes = require_bytes(body, "bytes");
     const int threads = require_threads(body, "threads", 64);
     sweep_options.single_pass = bool_or(body, "single_pass", true);
-    const auto workload = entry->make(bytes);
+    const auto workload = entry.make(bytes);
 
-    const report::CapacitySweepRun run = report::sweep_capacities_run(
+    report::CapacitySweepRun capacity_run = report::sweep_capacities_run(
         machine, workload->profile(), threads, std::move(grid),
-        report::Figure(entry->info.name + " capacity sweep", "GB", ""),
-        sweep_options);
-
-    if (Deadline::expired(ctx.deadline)) {
-      throw Error::resource(
-          kDeadlineExceededCode,
-          "deadline exceeded after completing " +
-              std::to_string(run.stats.cells - run.stats.failed) + " of " +
-              std::to_string(run.stats.cells) + " capacity cells");
-    }
-
-    Value out = Value::object();
-    out.set("workload", entry->info.name);
-    if (ctx.degraded) out.set("served_degraded", true);
-    out.set("figure", figure_json(run.figure));
-    out.set("stats", sweep_stats_json(run.stats));
-    Value cells = Value::array();
-    for (const report::CapacityCell& cell : run.cells) {
+        report::Figure(entry.info.name + " capacity sweep", "GB", ""), sweep_options);
+    cells = Value::array();
+    for (const report::CapacityCell& cell : capacity_run.cells) {
       cells.push_back(capacity_cell_json(cell));
     }
-    out.set("cells", std::move(cells));
-    if (!run.failures.empty()) {
-      Value failures = Value::array();
-      for (const report::CellFailure& f : run.failures) {
-        Value one = Value::object();
-        one.set("cell", f.label);
-        one.set("category", to_string(f.category));
-        one.set("message", f.message);
-        failures.push_back(std::move(one));
-      }
-      out.set("failures", std::move(failures));
-    }
-    out.set("topology", topology_json(machine));
-    return out;
-  }
-
-  report::SweepRun run{report::Figure("sweep", "", ""), {}, {}};
-  if (sizes_field != nullptr) {
-    if (!sizes_field->is_array() || sizes_field->as_array().empty()) {
-      throw Error::corrupt_input("service/bad-field",
-                                 "field 'sizes_bytes' must be a non-empty array");
-    }
-    std::vector<std::uint64_t> sizes;
-    for (const Value& item : sizes_field->as_array()) {
-      if (!item.is_number() || !(item.as_number() > 0.0) ||
-          item.as_number() > 1e15) {
-        throw Error::corrupt_input("service/bad-field",
-                                   "'sizes_bytes' entries must be in (0, 1e15]");
-      }
-      sizes.push_back(static_cast<std::uint64_t>(item.as_number()));
-    }
-    if (sizes.size() * configs.size() > options_.max_sweep_cells) {
-      throw Error::corrupt_input(
-          "service/grid-too-large",
-          "sweep grid exceeds " + std::to_string(options_.max_sweep_cells) +
-              " cells; split the query");
-    }
+    run = {std::move(capacity_run.figure), capacity_run.stats,
+           std::move(capacity_run.failures)};
+  } else if (sizes_field != nullptr) {
+    const std::vector<std::uint64_t> sizes =
+        require_byte_counts(*sizes_field, "sizes_bytes", "a non-empty array");
+    check_cells(sizes.size() * configs.size());
     const int threads = require_threads(body, "threads", 64);
     run = report::sweep_sizes_run(
-        machine, [entry](std::uint64_t b) { return entry->make(b); }, sizes, threads,
-        configs, report::Figure(entry->info.name + " sweep", "GB", ""), sweep_options);
+        machine, [&entry](std::uint64_t b) { return entry.make(b); }, sizes, threads,
+        configs, report::Figure(entry.info.name + " sweep", "GB", ""), sweep_options);
   } else {
-    if (!threads_field->is_array() || threads_field->as_array().empty()) {
-      throw Error::corrupt_input("service/bad-field",
-                                 "field 'thread_counts' must be a non-empty array");
-    }
     std::vector<int> thread_counts;
-    for (const Value& item : threads_field->as_array()) {
+    for (const Value& item : require_array(*threads_field, "thread_counts")) {
       const double raw = item.is_number() ? item.as_number() : 0.0;
       if (raw < 1.0 || raw > 4096.0 || raw != std::floor(raw)) {
         throw Error::corrupt_input(
@@ -825,17 +785,12 @@ Value PlacementService::do_sweep(const Value& body,
       }
       thread_counts.push_back(static_cast<int>(raw));
     }
-    if (thread_counts.size() * configs.size() > options_.max_sweep_cells) {
-      throw Error::corrupt_input(
-          "service/grid-too-large",
-          "sweep grid exceeds " + std::to_string(options_.max_sweep_cells) +
-              " cells; split the query");
-    }
+    check_cells(thread_counts.size() * configs.size());
     const std::uint64_t bytes = require_bytes(body, "bytes");
-    const auto workload = entry->make(bytes);
+    const auto workload = entry.make(bytes);
     run = report::sweep_threads_run(
         machine, *workload, thread_counts, configs,
-        report::Figure(entry->info.name + " thread sweep", "threads", ""),
+        report::Figure(entry.info.name + " thread sweep", "threads", ""),
         sweep_options);
   }
 
@@ -844,15 +799,16 @@ Value PlacementService::do_sweep(const Value& body,
                           "deadline exceeded after completing " +
                               std::to_string(run.stats.cells - run.stats.failed) +
                               " of " + std::to_string(run.stats.cells) +
-                              " sweep cells");
+                              (cells.is_null() ? " sweep cells" : " capacity cells"));
   }
 
   Value out = Value::object();
-  out.set("workload", entry->info.name);
+  out.set("workload", entry.info.name);
   if (ctx.degraded) out.set("served_degraded", true);
-  out.set("metric_name", entry->info.metric_name);
+  if (cells.is_null()) out.set("metric_name", entry.info.metric_name);
   out.set("figure", figure_json(run.figure));
   out.set("stats", sweep_stats_json(run.stats));
+  if (!cells.is_null()) out.set("cells", std::move(cells));
   if (!run.failures.empty()) {
     Value failures = Value::array();
     for (const report::CellFailure& f : run.failures) {

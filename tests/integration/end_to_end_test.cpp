@@ -92,10 +92,10 @@ TEST(EndToEnd, AdvisorAgreesWithDirectSimulationForTableOneApps) {
 TEST(EndToEnd, SweepMatchesDirectRuns) {
   Machine machine;
   const auto& entry = workloads::find_workload("MiniFE");
-  const auto figure = report::sweep_sizes(
-      machine,
-      [&entry](std::uint64_t b) { return entry.make(b); },
-      {4 * GiB}, 64, {MemConfig::DRAM}, report::Figure("t", "x", "y"));
+  const auto figure = report::sweep_sizes_run(
+                            machine, [&entry](std::uint64_t b) { return entry.make(b); },
+                            {4 * GiB}, 64, {MemConfig::DRAM}, report::Figure("t", "x", "y"))
+                            .figure;
   const auto w = entry.make(4 * GiB);
   const double direct =
       w->metric(machine.run(w->profile(), RunConfig{MemConfig::DRAM, 64}));

@@ -35,9 +35,9 @@ WorkloadFactory stream_factory() {
 
 TEST(Sweep, SizesProduceOnePointPerFeasibleConfig) {
   Machine machine;
-  const auto figure =
-      sweep_sizes(machine, stream_factory(), {2ull << 30, 4ull << 30}, 64, kAllConfigs,
-                  Figure("t", "x", "y"));
+  const auto figure = sweep_sizes_run(machine, stream_factory(), {2ull << 30, 4ull << 30},
+                                      64, kAllConfigs, Figure("t", "x", "y"))
+                          .figure;
   ASSERT_EQ(figure.series().size(), 3u);
   for (const auto& s : figure.series()) EXPECT_EQ(s.points.size(), 2u);
 }
@@ -46,9 +46,10 @@ TEST(Sweep, InfeasibleHbmPointsOmitted) {
   // 20 GB exceeds MCDRAM: the HBM series must simply miss that size,
   // exactly like the paper's missing red bars.
   Machine machine;
-  const auto figure = sweep_sizes(machine, stream_factory(),
-                                  {8ull << 30, 20ull << 30}, 64, kAllConfigs,
-                                  Figure("t", "x", "y"));
+  const auto figure = sweep_sizes_run(machine, stream_factory(),
+                                      {8ull << 30, 20ull << 30}, 64, kAllConfigs,
+                                      Figure("t", "x", "y"))
+                          .figure;
   const Series* hbm = figure.find("HBM");
   ASSERT_NE(hbm, nullptr);
   EXPECT_EQ(hbm->points.size(), 1u);
@@ -60,8 +61,9 @@ TEST(Sweep, InfeasibleHbmPointsOmitted) {
 TEST(Sweep, ThreadsSweepUsesFixedWorkload) {
   Machine machine;
   const workloads::StreamTriad stream(4ull << 30);
-  const auto figure = sweep_threads(machine, stream, {64, 128}, {MemConfig::HBM},
-                                    Figure("t", "x", "y"));
+  const auto figure = sweep_threads_run(machine, stream, {64, 128}, {MemConfig::HBM},
+                                        Figure("t", "x", "y"))
+                          .figure;
   const Series* hbm = figure.find("HBM");
   ASSERT_NE(hbm, nullptr);
   ASSERT_EQ(hbm->points.size(), 2u);

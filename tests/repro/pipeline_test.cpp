@@ -171,7 +171,7 @@ TEST(Pipeline, DispatchFaultRerunsTheExperimentInline) {
       Pipeline(machine, PipelineOptions{.jobs = 4, .memoize = false}).run_all(specs);
   EXPECT_EQ(dump_all(results, machine), serial);
   std::size_t fallbacks = 0;
-  for (const ExperimentResult& result : results) fallbacks += result.stats.serial_fallbacks;
+  for (const ExperimentResult& result : results) fallbacks += result.serial_fallbacks;
   EXPECT_EQ(fallbacks, selected);  // one per faulted dispatch, keyed by index
 }
 

@@ -1,7 +1,9 @@
 // PlacementService unit tests: routing, validation, the error-code mapping
 // of the knl::Error taxonomy, load shedding, and cached-vs-uncached
 // bit-identity of answers.
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -292,6 +294,75 @@ TEST_F(ServiceTest, SweepCapacityModeValidation) {
   misaligned.push_back(64.0 * 64 + 1);  // not a multiple of line*sets
   body.set("capacities_bytes", std::move(misaligned));
   EXPECT_EQ(service_.handle("POST", "/sweep", body).status, 400);
+}
+
+// Every /sweep rejection that happens before a cell runs, pinned by status,
+// code and message text.
+TEST_F(ServiceTest, SweepErrorRepliesArePinned) {
+  PlacementService tight{ServiceOptions{.workers = 1, .max_sweep_cells = 4}};
+  const auto array_of = [](std::initializer_list<double> items) {
+    Value out = Value::array();
+    for (const double item : items) out.push_back(item);
+    return out;
+  };
+  struct Case {
+    const char* field;
+    Value value;
+    const char* code;
+    const char* message;
+  };
+  const std::vector<Case> cases{
+      {"sizes_bytes", Value("all"), "service/bad-field",
+       "field 'sizes_bytes' must be a non-empty array"},
+      {"sizes_bytes", Value::array(), "service/bad-field",
+       "field 'sizes_bytes' must be a non-empty array"},
+      {"sizes_bytes", array_of({1024.0, 2e15}), "service/bad-field",
+       "'sizes_bytes' entries must be in (0, 1e15]"},
+      {"sizes_bytes", array_of({1024.0, 2048.0}), "service/grid-too-large",
+       "sweep grid exceeds 4 cells; split the query"},
+      {"thread_counts", Value(64.0), "service/bad-field",
+       "field 'thread_counts' must be a non-empty array"},
+      {"thread_counts", array_of({64.0, 0.0}), "service/bad-field",
+       "'thread_counts' entries must be integers in [1, 4096]"},
+      {"thread_counts", array_of({64.0, 128.0}), "service/grid-too-large",
+       "sweep grid exceeds 4 cells; split the query"},
+      {"capacities_bytes", Value("some"), "service/bad-field",
+       "field 'capacities_bytes' must be a non-empty array or \"auto\""},
+      {"capacities_bytes", array_of({4096.0, 0.0}), "service/bad-field",
+       "'capacities_bytes' entries must be in (0, 1e15]"},
+      {"capacities_bytes", array_of({4096.0, 8192.0, 12288.0, 16384.0, 20480.0}),
+       "service/grid-too-large", "sweep grid exceeds 4 cells; split the query"},
+  };
+  for (const Case& c : cases) {
+    Value body = Value::object();
+    body.set("workload", "STREAM");
+    body.set("bytes", 1.0 * (1ull << 20));
+    body.set("cache_sets", 64);
+    body.set(c.field, c.value);
+    const ServiceResponse r = tight.handle("POST", "/sweep", body);
+    EXPECT_EQ(r.status, 400) << c.field << ": " << r.body.dump(0);
+    ASSERT_NE(error_of(r), nullptr) << c.field;
+    EXPECT_EQ(error_of(r)->find("code")->as_string(), c.code) << c.field;
+    EXPECT_EQ(error_of(r)->find("message")->as_string(), c.message) << c.field;
+  }
+
+  Value two_modes = Value::object();
+  two_modes.set("workload", "STREAM");
+  two_modes.set("sizes_bytes", array_of({1024.0}));
+  two_modes.set("capacities_bytes", array_of({4096.0}));
+  const ServiceResponse r = tight.handle("POST", "/sweep", two_modes);
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(error_of(r)->find("code")->as_string(), "service/bad-field");
+  EXPECT_EQ(error_of(r)->find("message")->as_string(),
+            "exactly one of 'sizes_bytes' (size sweep), 'thread_counts' (thread "
+            "sweep) or 'capacities_bytes' (MCDRAM capacity sweep) is required");
+
+  Value unknown = two_modes;
+  unknown.set("workload", "NOPE");
+  const ServiceResponse u = tight.handle("POST", "/sweep", unknown);
+  EXPECT_EQ(u.status, 400);
+  EXPECT_EQ(error_of(u)->find("code")->as_string(), "service/unknown-workload");
+  EXPECT_EQ(error_of(u)->find("message")->as_string(), "unknown workload 'NOPE'");
 }
 
 TEST_F(ServiceTest, WhatifCapacityOverrideHitsProfileAcrossQueries) {
