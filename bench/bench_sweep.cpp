@@ -74,7 +74,8 @@ CapacityGrid make_grid(std::uint64_t num_sets, std::vector<std::uint64_t> ways,
 
 /// Fig. 2 shape: STREAM at a fixed footprint, MCDRAM-cache capacity swept
 /// in whole ways (integer, not just powers of two — the analytic derivation
-/// makes the denser grid free). Fig. 5 shape: GUPS, pow2 ways.
+/// makes the denser grid free). Fig. 5 shape: GUPS over 10 way counts. Both
+/// presets run both, so --check covers the sequential and the random trace.
 std::vector<GridSpec> make_specs(const std::string& preset) {
   std::vector<GridSpec> specs;
   if (preset == "full") {
@@ -93,6 +94,8 @@ std::vector<GridSpec> make_specs(const std::string& preset) {
     specs.push_back({"quick-stream-capacity",
                      knl::workloads::StreamTriad(8ull << 20).profile(),
                      make_grid(1ull << 14, ways, 1u << 20)});
+    specs.push_back({"quick-gups-capacity", knl::workloads::Gups(16ull << 20).profile(),
+                     make_grid(1ull << 13, {1, 2, 3, 4, 6, 8, 12, 16, 24, 32}, 1u << 18)});
   }
   return specs;
 }

@@ -20,12 +20,15 @@ namespace {
 constexpr std::uint64_t kMtfSetThreshold = 4096;
 /// Row capacity of a fresh slab (tags per owned set).
 constexpr std::uint64_t kInitialRowCap = 4;
+/// Stamp-table rows are padded to a multiple of this many slots: the fixed
+/// width of the count's inner loop.
+constexpr std::size_t kStampBlock = 8;
 /// Accesses between the one being applied and the one being prefetched:
 /// enough to hide a miss to memory behind the scans in between.
 constexpr std::size_t kPrefetchAhead = 8;
-/// Leading tags of a row worth prefetching (four cache lines): past that a
+/// Leading bytes of a row worth prefetching (four cache lines): past that a
 /// row is deep enough for its own scan to cover the fetch.
-constexpr std::uint64_t kPrefetchTags = 32;
+constexpr std::size_t kPrefetchBytes = 256;
 
 /// Largest of addrs[0..n), n >= 1. Four independent maxima keep the loop
 /// bound by its reads rather than by one compare chain: std::max_element
@@ -41,6 +44,27 @@ std::uint64_t max_address(const std::uint64_t* addrs, std::size_t n) {
   }
   for (; i < n; ++i) m0 = std::max(m0, addrs[i]);
   return std::max(std::max(m0, m1), std::max(m2, m3));
+}
+
+/// Start fetching the leading lines of the `bytes` at `row`.
+void prefetch_row(const void* row, std::size_t bytes) {
+  const auto* p = static_cast<const char*>(row);
+  const std::size_t span = std::min(bytes, kPrefetchBytes);
+  for (std::size_t k = 0; k < span; k += 64) __builtin_prefetch(p + k);
+}
+
+/// Slots of a stamp-table row stamped later than `last`: the distinct tags
+/// of the set touched since that access, i.e. its stack distance. `width`
+/// is a multiple of kStampBlock, so the inner loop has a fixed width that
+/// gcc -O3 turns into vector compares; padding slots hold 0 and never count.
+std::uint64_t count_later(const std::uint32_t* row, std::size_t width, std::uint32_t last) {
+  std::uint32_t lanes[kStampBlock] = {};
+  for (std::size_t k = 0; k < width; k += kStampBlock) {
+    for (std::size_t j = 0; j < kStampBlock; ++j) lanes[j] += row[k + j] > last ? 1u : 0u;
+  }
+  std::uint32_t count = 0;
+  for (const std::uint32_t lane : lanes) count += lane;
+  return count;
 }
 
 /// Free a container's storage (clear() keeps the capacity).
@@ -101,17 +125,25 @@ void ReuseProfile::reserve_rows(std::uint64_t max_address, std::uint64_t n) {
   if (!soa_set_.empty() || sealed_) {
     throw std::logic_error("ReuseProfile::reserve_rows: observing has begun");
   }
+  commitment_ = Commitment{max_address, n};
+  stamp_width_ = 0;
   if (!use_mtf_) return;
   const std::uint64_t sampled_sets =
       (config_.num_sets + config_.sample_every - 1) / config_.sample_every;
-  const std::uint64_t tag_bound = (max_address >> line_shift_) / config_.num_sets + 1;
-  reserved_row_cap_ = tag_bound <= n / sampled_sets ? tag_bound : 0;
+  // The tag bound is top_tag + 1, compared as top_tag < n / sampled_sets so
+  // that it cannot wrap for a max_address near 2^64. n < 2^32 keeps every
+  // stamp in a uint32_t.
+  const std::uint64_t top_tag = (max_address >> line_shift_) / config_.num_sets;
+  if (n >= (1ull << 32) || top_tag >= n / sampled_sets) return;
+  stamp_width_ = (top_tag / kStampBlock + 1) * kStampBlock;
 }
 
 void ReuseProfile::allocate_working_state() {
   const auto rows = static_cast<std::size_t>(num_rows_);
-  if (use_mtf_) {
-    row_cap_ = reserved_row_cap_ != 0 ? reserved_row_cap_ : kInitialRowCap;
+  if (stamp_width_ != 0) {
+    stamps_.assign(rows * stamp_width_, 0);
+  } else if (use_mtf_) {
+    row_cap_ = kInitialRowCap;
     slab_.assign(rows * row_cap_, 0);
     depth_.assign(rows, 0);
   } else {
@@ -123,6 +155,10 @@ void ReuseProfile::allocate_working_state() {
 }
 
 void ReuseProfile::release_working_state() {
+  release(stamps_);
+  stamp_width_ = 0;
+  stamped_ = 0;
+  commitment_.reset();
   release(slab_);
   release(depth_);
   release(spill_);
@@ -138,43 +174,51 @@ void ReuseProfile::observe(const std::uint64_t* addrs, std::size_t n) {
     throw std::logic_error("ReuseProfile::observe: the profile is sealed");
   }
   if (n == 0) return;
-  if (soa_set_.empty()) allocate_working_state();
-  if (!pow2_path_) {
-    observe_scalar(addrs, n);
-    return;
+  if (commitment_) {
+    if (n > commitment_->left) {
+      throw std::logic_error("ReuseProfile::observe: more addresses than reserve_rows allowed");
+    }
+    commitment_->left -= n;
   }
-  const std::uint64_t stride = config_.shard_stride;
-  const std::uint64_t phase = config_.shard_phase;
+  if (soa_set_.empty()) allocate_working_state();
   for (std::size_t done = 0; done < n;) {
     const std::size_t chunk = std::min(n - done, simd::kSoaChunk);
-    std::size_t kept = chunk;
-    if (config_.sample_every == 1) {
-      simd::decompose_pow2(addrs + done, chunk, line_shift_, set_mask_, set_shift_,
-                           soa_set_.data(), soa_tag_.data());
-    } else {
-      kept = simd::decompose_pow2_sampled(addrs + done, chunk, line_shift_, set_mask_,
-                                          set_shift_, sample_mask_, sample_shift_,
-                                          soa_set_.data(), soa_tag_.data());
+    const std::uint64_t* block = addrs + done;
+    // Checked per chunk, while the chunk is in cache for the decompose.
+    if (commitment_ && max_address(block, chunk) > commitment_->max_address) {
+      throw std::logic_error("ReuseProfile::observe: an address above reserve_rows' max");
     }
-    if (stride != 1) {
-      // Keep this shard's accesses, compacted in stream order, with the
-      // sampled set index turned into the shard's row index.
-      std::size_t owned = 0;
-      for (std::size_t i = 0; i < kept; ++i) {
-        const std::uint64_t sampled_idx = soa_set_[i];
-        if (sampled_idx % stride != phase) continue;
-        soa_set_[owned] = sampled_idx / stride;
-        soa_tag_[owned] = soa_tag_[i];
-        ++owned;
-      }
-      kept = owned;
-    }
-    apply_staged(kept);
+    apply_staged(pow2_path_ ? stage_pow2(block, chunk) : stage_scalar(block, chunk));
     done += chunk;
   }
 }
 
-void ReuseProfile::observe_scalar(const std::uint64_t* addrs, std::size_t n) {
+std::size_t ReuseProfile::stage_pow2(const std::uint64_t* addrs, std::size_t n) {
+  std::size_t kept = n;
+  if (config_.sample_every == 1) {
+    simd::decompose_pow2(addrs, n, line_shift_, set_mask_, set_shift_, soa_set_.data(),
+                         soa_tag_.data());
+  } else {
+    kept = simd::decompose_pow2_sampled(addrs, n, line_shift_, set_mask_, set_shift_,
+                                        sample_mask_, sample_shift_, soa_set_.data(),
+                                        soa_tag_.data());
+  }
+  const std::uint64_t stride = config_.shard_stride;
+  if (stride == 1) return kept;
+  // Keep this shard's accesses, compacted in stream order, with the sampled
+  // set index turned into the shard's row index.
+  std::size_t owned = 0;
+  for (std::size_t i = 0; i < kept; ++i) {
+    const std::uint64_t sampled_idx = soa_set_[i];
+    if (sampled_idx % stride != config_.shard_phase) continue;
+    soa_set_[owned] = sampled_idx / stride;
+    soa_tag_[owned] = soa_tag_[i];
+    ++owned;
+  }
+  return owned;
+}
+
+std::size_t ReuseProfile::stage_scalar(const std::uint64_t* addrs, std::size_t n) {
   std::size_t staged = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t line = addrs[i] >> line_shift_;
@@ -184,12 +228,22 @@ void ReuseProfile::observe_scalar(const std::uint64_t* addrs, std::size_t n) {
     if (sampled_idx % config_.shard_stride != config_.shard_phase) continue;
     soa_set_[staged] = sampled_idx / config_.shard_stride;
     soa_tag_[staged] = line / config_.num_sets;
-    if (++staged == simd::kSoaChunk) {
-      apply_staged(staged);
-      staged = 0;
-    }
+    ++staged;
   }
-  apply_staged(staged);
+  return staged;
+}
+
+void ReuseProfile::record_distance(std::uint64_t distance) {
+  // The histogram never outgrows max_depth, so a distance inside it is
+  // inside the depth too: one compare on the common path.
+  if (distance < histogram_.size()) {
+    ++histogram_[static_cast<std::size_t>(distance)];
+  } else if (distance >= config_.max_depth) {
+    ++beyond_;
+  } else {
+    histogram_.resize(distance + 1, 0);
+    ++histogram_[static_cast<std::size_t>(distance)];
+  }
 }
 
 void ReuseProfile::apply_staged(std::size_t n) {
@@ -203,19 +257,45 @@ void ReuseProfile::apply_staged(std::size_t n) {
     return;
   }
   // Random sets make each access a likely cache miss; start the fetch of a
-  // later access's row and depth while this one scans. The row is re-read
-  // from slab_ at its turn, so a growth in between only wastes the hint.
-  constexpr std::uint64_t kTagsPerLine = 64 / sizeof(std::uint64_t);
-  const std::size_t ahead = n > kPrefetchAhead ? n - kPrefetchAhead : 0;
-  for (std::size_t i = 0; i < ahead; ++i) {
-    const auto next = static_cast<std::size_t>(rows[i + kPrefetchAhead]);
-    const std::uint64_t* row = slab_.data() + next * row_cap_;
-    const std::uint64_t span = std::min(row_cap_, kPrefetchTags);
-    for (std::uint64_t k = 0; k < span; k += kTagsPerLine) __builtin_prefetch(row + k);
-    __builtin_prefetch(depth_.data() + next);
-    apply_slab(rows[i], tags[i]);
+  // later access's row while this one is applied. A slab row is re-read at
+  // its turn, so a growth in between only wastes the hint.
+  const auto pipelined = [n, rows, tags](auto&& prefetch, auto&& apply) {
+    const std::size_t ahead = n > kPrefetchAhead ? n - kPrefetchAhead : 0;
+    for (std::size_t i = 0; i < ahead; ++i) {
+      prefetch(static_cast<std::size_t>(rows[i + kPrefetchAhead]));
+      apply(static_cast<std::size_t>(rows[i]), tags[i]);
+    }
+    for (std::size_t i = ahead; i < n; ++i) apply(static_cast<std::size_t>(rows[i]), tags[i]);
+  };
+  if (stamp_width_ == 0) {
+    pipelined(
+        [this](std::size_t r) {
+          prefetch_row(slab_.data() + r * row_cap_, row_cap_ * sizeof(std::uint64_t));
+          __builtin_prefetch(depth_.data() + r);
+        },
+        [this](std::size_t row, std::uint64_t tag) { apply_slab(row, tag); });
+    return;
   }
-  for (std::size_t i = ahead; i < n; ++i) apply_slab(rows[i], tags[i]);
+  std::uint32_t* const table = stamps_.data();
+  const std::size_t width = stamp_width_;
+  std::uint32_t now = stamped_;
+  pipelined(
+      [table, width](std::size_t r) {
+        prefetch_row(table + r * width, width * sizeof(std::uint32_t));
+      },
+      [&](std::size_t row, std::uint64_t tag) {
+        std::uint32_t* slots = table + row * width;
+        const std::uint32_t last = slots[tag];
+        if (last == 0) {
+          ++cold_;
+        } else {
+          record_distance(count_later(slots, width, last));
+        }
+        // Stamped after the count: a store into the row just before the
+        // count's wide loads of it stalls them on store forwarding.
+        slots[tag] = ++now;
+      });
+  stamped_ = now;
 }
 
 void ReuseProfile::apply_slab(std::uint64_t row, std::uint64_t tag) {
@@ -326,15 +406,6 @@ void ReuseProfile::apply_fenwick(FenwickSet& set, std::uint64_t tag) {
   it->second = set.now;
 }
 
-void ReuseProfile::record_distance(std::uint64_t distance) {
-  if (distance >= config_.max_depth) {
-    ++beyond_;
-    return;
-  }
-  if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
-  ++histogram_[static_cast<std::size_t>(distance)];
-}
-
 std::uint64_t ReuseProfile::hits_for_ways(std::uint64_t ways) const {
   if (ways == 0) return 0;
   if (ways > config_.max_depth) {
@@ -378,7 +449,8 @@ std::size_t ReuseProfile::working_bytes() const noexcept {
   const auto map_bytes = [](const auto& map, std::size_t entry_bytes) {
     return map.empty() ? 0 : map.bucket_count() * sizeof(void*) + map.size() * entry_bytes;
   };
-  std::size_t bytes = slab_.capacity() * sizeof(std::uint64_t) +
+  std::size_t bytes = stamps_.capacity() * sizeof(std::uint32_t) +
+                      slab_.capacity() * sizeof(std::uint64_t) +
                       depth_.capacity() * sizeof(std::uint64_t) +
                       (soa_set_.capacity() + soa_tag_.capacity()) * sizeof(std::uint64_t) +
                       map_bytes(spill_, sizeof(decltype(spill_)::value_type));
@@ -399,7 +471,6 @@ void ReuseProfile::reset() {
   beyond_ = 0;
   histogram_.clear();
   release_working_state();
-  reserved_row_cap_ = 0;
   sealed_ = false;
 }
 

@@ -15,30 +15,40 @@
 // power-of-two geometry, so hits_for_ways(W) equals CacheSim's hit counter
 // bit-for-bit for any pow2 W (property-tested in tests/sim).
 //
-// Two internal stack representations, chosen by expected per-set occupancy:
-//   - kMtf:     one flat slab holding a recency-ordered row of tags per
+// Three internal representations of the per-set stacks:
+//   - stamp table: when the whole trace is known up front (profile_trace),
+//               reserve_rows() takes the trace's tag bound and, if the table
+//               costs no more slots than the trace has addresses, each owned
+//               set gets a row of one uint32_t stamp per possible tag (padded
+//               to a multiple of 8): the 1-based index of that tag's last
+//               access in this profile, 0 = never. An access's stack
+//               distance is the number of row slots stamped later than its
+//               own last access (a fixed-width count the compiler
+//               vectorizes at -O3); nothing moves, and the row of the access a few
+//               positions ahead is prefetched. The sweep-grid case: many
+//               sets over a footprint the trace covers densely.
+//   - kMtf slab: one flat slab holding a recency-ordered row of tags per
 //               owned set (MRU first; distance = position), plus a depth
 //               array. A carry-shift kernel searches and shifts the row in
-//               one pass, and the pass prefetches the row of the access a
-//               few positions ahead. The slab doubles its row capacity once
-//               it is half full on average; until then a row deeper than
-//               the capacity continues in a spill tail of its own, so
-//               working memory stays O(distinct tags) under any skew. When
-//               the whole trace is known up front (profile_trace), the rows
-//               start as wide as the trace's tag bound if that slab is no
-//               larger than the trace, and then never spill or regrow. The
-//               sweep-grid case: many sets keep each row a few dozen tags.
+//               one pass, with the same prefetch. The slab doubles its row
+//               capacity once it is half full on average; until then a row
+//               deeper than the capacity continues in a spill tail of its
+//               own, so working memory stays O(distinct tags) under any
+//               skew. The sparse case: a footprint far larger than the
+//               trace, where a table of every possible tag would not pay.
 //   - kFenwick: per-set append-only Fenwick tree counting latest-occurrence
 //               marks (Bennett-Kruskal); distance = marks in (last, now].
 //               O(log n) per access regardless of depth — the analyzer
 //               case (few sets, fully-associative-style deep stacks).
-// Both produce identical histograms (tested); kAuto picks by set count.
-// The working state is allocated on the first observe() and dropped by
-// seal(), after which a profile is just its answer: counters + histogram.
+// All three produce identical histograms (tested); kAuto picks kMtf (the
+// table when reserve_rows() takes it, else the slab) or kFenwick by set
+// count. The working state is allocated on the first observe() and dropped
+// by seal(), after which a profile is just its answer: counters + histogram.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -47,7 +57,7 @@ namespace knl::sim {
 
 enum class ReuseStrategy : int {
   kAuto = 0,     ///< kMtf when num_sets >= 4096, else kFenwick
-  kMtf = 1,
+  kMtf = 1,      ///< the stamp table when reserve_rows() takes it, else the slab
   kFenwick = 2,
 };
 
@@ -76,20 +86,26 @@ class ReuseProfile {
 
   /// Feed a block of byte addresses (chunked through the SIMD decompose
   /// kernels for pow2 geometry). Order matters; split calls concatenate.
-  /// Throws std::logic_error on a sealed profile.
+  /// Throws std::logic_error on a sealed profile, or on a block past what
+  /// reserve_rows() committed to.
   void observe(const std::uint64_t* addrs, std::size_t n);
   void observe(std::span<const std::uint64_t> addrs) {
     observe(addrs.data(), addrs.size());
   }
 
-  /// Size the kMtf rows, before the first observe(), for a trace of `n`
-  /// addresses none above `max_address`. Every tag such a trace can carry is
-  /// below (max_address / line_bytes) / num_sets + 1, its tag bound, so rows
-  /// that wide never spill or regrow. Taken only when that slab costs no
-  /// more than the trace (sampled sets x tag bound <= n: at most 8 B per
-  /// address); otherwise, and on kFenwick, the rows start small and double.
-  /// Sizing only: any stream may still be observed, with identical results.
-  /// Throws std::logic_error once observing has begun.
+  /// Commit the profile, before the first observe(), to a stream of at most
+  /// `n` addresses none above `max_address`, and on kMtf take the stamp
+  /// table for it when that pays. Every tag such a stream can carry is below
+  /// (max_address / line_bytes) / num_sets + 1, its tag bound; the table is
+  /// taken when sampled sets x tag bound <= n < 2^32 (one 4-byte slot per
+  /// address at most, plus each row's padding to 8 slots). Otherwise, and on
+  /// kFenwick, the pass keeps its growing slab or trees. Either way the
+  /// histograms are identical, and from then on observe() throws
+  /// std::logic_error for a block that would take the stream past `n`
+  /// addresses (before counting any of it) or that holds an address above
+  /// `max_address` (its chunks before that address may have been counted;
+  /// reset() the profile to reuse it). Throws std::logic_error once
+  /// observing has begun.
   void reserve_rows(std::uint64_t max_address, std::uint64_t n);
 
   [[nodiscard]] const ReuseProfileConfig& config() const noexcept { return config_; }
@@ -140,7 +156,11 @@ class ReuseProfile {
 
   void allocate_working_state();
   void release_working_state();
-  void observe_scalar(const std::uint64_t* addrs, std::size_t n);
+  /// Decompose a block of at most simd::kSoaChunk addresses into the
+  /// (row, tag) pairs of this profile's sets in soa_set_/soa_tag_; returns
+  /// how many were kept.
+  std::size_t stage_pow2(const std::uint64_t* addrs, std::size_t n);
+  std::size_t stage_scalar(const std::uint64_t* addrs, std::size_t n);
   /// Apply the first n staged (row, tag) pairs in soa_set_/soa_tag_.
   void apply_staged(std::size_t n);
   void apply_slab(std::uint64_t row, std::uint64_t tag);
@@ -160,8 +180,13 @@ class ReuseProfile {
   /// Sets this profile owns: the sampled sets of its shard phase, row r
   /// being sampled index r * shard_stride + shard_phase.
   std::uint64_t num_rows_ = 0;
-  /// Row capacity of the first slab; 0 = kInitialRowCap (see reserve_rows).
-  std::uint64_t reserved_row_cap_ = 0;
+  /// What reserve_rows() committed observe() to: at most `left` more
+  /// addresses, none above `max_address`.
+  struct Commitment {
+    std::uint64_t max_address = 0;
+    std::uint64_t left = 0;
+  };
+  std::optional<Commitment> commitment_;
   bool sealed_ = false;
 
   std::uint64_t sampled_ = 0;
@@ -169,7 +194,14 @@ class ReuseProfile {
   std::uint64_t beyond_ = 0;
   std::vector<std::uint64_t> histogram_;
 
-  // kMtf working state. Row r's recency list is slab_[r * row_cap_ ...]
+  // Stamp table working state (stamp_width_ != 0): row r's slots are
+  // stamps_[r * stamp_width_ ...], slot t holding the stamp of tag t's last
+  // access; the k-th access applied to the table is stamped k.
+  std::vector<std::uint32_t> stamps_;
+  std::uint64_t stamp_width_ = 0;
+  std::uint32_t stamped_ = 0;  ///< accesses applied to the table so far
+
+  // kMtf slab working state. Row r's recency list is slab_[r * row_cap_ ...]
   // (its first min(depth_[r], row_cap_) tags) followed by spill_[r] when
   // depth_[r] > row_cap_.
   std::vector<std::uint64_t> slab_;
@@ -190,8 +222,8 @@ class ReuseProfile {
 /// sampled-set ownership (sampled_index % shards; each shard holds only its
 /// own rows). Distances are per-set, so the merged result is bit-identical
 /// to a serial observe() for every worker count. workers <= 1 profiles
-/// inline. Each pass's rows are sized by reserve_rows() from one max over
-/// `addrs`. The result is sealed: it holds the answer, no working state.
+/// inline. Each pass is committed by reserve_rows() to `addrs` (one max over
+/// it), so it takes the stamp table where that pays. The result is sealed: it holds the answer, no working state.
 [[nodiscard]] ReuseProfile profile_trace(const std::uint64_t* addrs, std::size_t n,
                                          const ReuseProfileConfig& config,
                                          int workers = 1);

@@ -114,8 +114,20 @@ std::vector<std::uint64_t> synthesize_trace(const AccessProfile& profile,
             std::clamp<std::uint64_t>(fp / 64, 1, 1u << 20));
         const std::vector<std::uint32_t> next =
             build_chase_permutation(slots, phase_seed);
-        ChaseGenerator gen(0, next, 64, quota);
+        // Sattolo's permutation is one cycle through every slot, so the
+        // chase repeats with period `slots`: walk the first period (its
+        // dependent loads are the cost), then copy it for the rest.
+        const std::size_t start = out.size();
+        ChaseGenerator gen(0, next, 64, std::min<std::uint64_t>(quota, slots));
         emit(gen, quota, out);
+        const std::size_t period = out.size() - start;
+        for (std::uint64_t left = quota - period; left > 0;) {
+          const auto copy = static_cast<std::size_t>(std::min<std::uint64_t>(left, period));
+          const std::size_t at = out.size();
+          out.resize(at + copy);
+          std::copy_n(out.data() + start, copy, out.data() + at);
+          left -= copy;
+        }
         break;
       }
       case Pattern::Compute:

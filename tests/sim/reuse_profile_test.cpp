@@ -237,8 +237,8 @@ TEST(ReuseProfile, SplitObserveAcrossSlabGrowth) {
   }
 }
 
-/// A profile whose rows were sized for `addrs` by reserve_rows(), as
-/// profile_trace() sizes its passes, then fed the whole stream.
+/// A profile committed to `addrs` by reserve_rows(), as profile_trace()
+/// commits its passes, then fed the whole stream.
 ReuseProfile presized(const std::vector<std::uint64_t>& addrs,
                       const ReuseProfileConfig& config) {
   ReuseProfile profile(config);
@@ -276,10 +276,10 @@ TEST(ReuseProfile, PresizedProfileTraceMatchesPlainObserveOnRegistryTraces) {
 TEST(ReuseProfile, PresizedCapacityGridRowsNeverRegrow) {
   // The capacity benchmark's two grids: 2^18 addresses over 8192 sets, GUPS
   // over 16 MiB (tags below 16 MiB / 64 B / 8192 = 32) and STREAM over
-  // 4 MiB (tags below 8, every set sweeping all of them). Rows as wide as
-  // the tag bound take every distinct tag, so the slab is sized once, never
-  // spills or regrows, and holds at most one 8-byte slot per address
-  // (GUPS: 2 MiB).
+  // 4 MiB (tags below 8, every set sweeping all of them). Both take the
+  // stamp table: one 4-byte stamp per set and possible tag, allocated on the
+  // first address and never regrown, so it holds at most one 4-byte slot per
+  // address (GUPS: 1 MiB).
   trace::SynthOptions options;
   options.max_addresses = 1u << 18;
   for (const trace::AccessProfile& workload :
@@ -294,10 +294,8 @@ TEST(ReuseProfile, PresizedCapacityGridRowsNeverRegrow) {
     first.reserve_rows(*std::max_element(addrs.begin(), addrs.end()), addrs.size());
     first.observe(addrs.data(), 1);
     EXPECT_EQ(profile.working_bytes(), first.working_bytes());
-    const std::size_t depth_and_scratch =
-        (config.num_sets + 2 * simd::kSoaChunk) * sizeof(std::uint64_t);
-    EXPECT_LE(profile.working_bytes(),
-              addrs.size() * sizeof(std::uint64_t) + depth_and_scratch);
+    const std::size_t scratch = 2 * simd::kSoaChunk * sizeof(std::uint64_t);
+    EXPECT_LE(profile.working_bytes(), addrs.size() * sizeof(std::uint32_t) + scratch);
   }
 }
 
@@ -318,6 +316,133 @@ TEST(ReuseProfile, FootprintFarLargerThanTheTraceKeepsDoublingRows) {
 
   ReuseProfile started = observed(addrs, config);
   EXPECT_THROW(started.reserve_rows(addrs.front(), addrs.size()), std::logic_error);
+}
+
+/// `2 * tag_bound * num_sets` random addresses below tag_bound * num_sets
+/// lines, the last line included, so every set sees about twice as many
+/// accesses as it has possible tags: reuse at every distance below the
+/// bound, cold misses, and a trace that takes the stamp table.
+std::vector<std::uint64_t> dense_trace(std::uint64_t num_sets, std::uint64_t tag_bound,
+                                       std::uint64_t seed) {
+  const std::uint64_t lines = tag_bound * num_sets;
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> addrs;
+  for (std::uint64_t i = 0; i < 2 * lines; ++i) {
+    addrs.push_back((rng() % lines) * 64 + (rng() % 8) * 8);
+  }
+  addrs[addrs.size() / 2] = lines * 64 - 8;
+  return addrs;
+}
+
+TEST(ReuseProfile, StampTableMatchesFenwickAcrossDenseGeometries) {
+  // Tag bounds on both sides of the table's 8-slot padding, pow2 set
+  // counts through the SIMD decompose and 5000 through the scalar one,
+  // sampled and unsampled, sharded and not: the table's histogram equals
+  // the Fenwick pass bucket for bucket and the per-cell replay at every
+  // checked way count.
+  struct Case {
+    std::uint64_t num_sets;
+    std::uint64_t tag_bound;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t bound : {1ull, 7ull, 8ull, 9ull, 31ull, 32ull, 33ull}) {
+    cases.push_back({4096, bound});
+  }
+  cases.push_back({8192, 8});
+  cases.push_back({8192, 33});
+  cases.push_back({5000, 7});
+  cases.push_back({5000, 9});
+  for (const Case& c : cases) {
+    const std::vector<std::uint64_t> addrs = dense_trace(c.num_sets, c.tag_bound, c.tag_bound);
+    for (const std::uint64_t sample : {1ull, 4ull}) {
+      SCOPED_TRACE(testing::Message() << "sets=" << c.num_sets << " tag bound="
+                                      << c.tag_bound << " sample_every=" << sample);
+      const ReuseProfileConfig config = geometry(c.num_sets, sample);
+      const ReuseProfile fenwick =
+          observed(addrs, geometry(c.num_sets, sample, ReuseStrategy::kFenwick));
+      EXPECT_GT(fenwick.reuses(), 0u);
+
+      // The table was taken: one 4-byte slot per sampled set and padded tag.
+      const ReuseProfile table = presized(addrs, config);
+      const std::uint64_t sampled_sets = (c.num_sets + sample - 1) / sample;
+      const std::uint64_t width = (c.tag_bound + 7) / 8 * 8;
+      EXPECT_EQ(table.working_bytes(),
+                sampled_sets * width * sizeof(std::uint32_t) +
+                    2 * simd::kSoaChunk * sizeof(std::uint64_t));
+      expect_same_profile(fenwick, table);
+      for (const int workers : {1, 2, 3, 5}) {
+        SCOPED_TRACE(testing::Message() << workers << " workers");
+        expect_same_profile(fenwick,
+                            profile_trace(addrs.data(), addrs.size(), config, workers));
+      }
+      for (const std::uint64_t ways : {1ull, 3ull, 8ull}) {
+        const CapacityReference ref =
+            replay_capacity_reference(addrs.data(), addrs.size(), config, ways);
+        EXPECT_EQ(ref.sampled, table.sampled()) << "ways=" << ways;
+        EXPECT_EQ(ref.hits, table.hits_for_ways(ways)) << "ways=" << ways;
+      }
+    }
+  }
+
+  const std::vector<std::uint64_t> addrs = dense_trace(4096, 31, 5);
+  const std::uint64_t top = *std::max_element(addrs.begin(), addrs.end());
+
+  // A max_depth below the tag bound: the deep reuses land beyond it.
+  ReuseProfileConfig shallow = geometry(4096, 1);
+  shallow.max_depth = 5;
+  ReuseProfileConfig shallow_fenwick = shallow;
+  shallow_fenwick.strategy = ReuseStrategy::kFenwick;
+  const ReuseProfile shallow_table = presized(addrs, shallow);
+  expect_same_profile(observed(addrs, shallow_fenwick), shallow_table);
+  EXPECT_GT(shallow_table.beyond_depth(), 0u);
+  EXPECT_EQ(shallow_table.histogram().size(), 5u);
+
+  // observe() split anywhere inside the committed stream concatenates.
+  const ReuseProfile whole = presized(addrs, geometry(4096, 1));
+  for (const std::size_t split : {std::size_t{1}, std::size_t{1023}, addrs.size() / 2,
+                                  addrs.size() - 1}) {
+    SCOPED_TRACE(testing::Message() << "split at " << split);
+    ReuseProfile pieces(geometry(4096, 1));
+    pieces.reserve_rows(top, addrs.size());
+    pieces.observe(addrs.data(), split);
+    pieces.observe(addrs.data() + split, addrs.size() - split);
+    expect_same_profile(whole, pieces);
+  }
+}
+
+TEST(ReuseProfile, StampTableRejectsAStreamPastItsCommitment) {
+  // reserve_rows() commits the profile to at most n addresses, none above
+  // the max; the table's rows hold no slot past that max's tag. The same
+  // commitment holds on a pass that keeps the Fenwick trees.
+  std::vector<std::uint64_t> addrs = dense_trace(4096, 8, 67);
+  const std::uint64_t top = *std::max_element(addrs.begin(), addrs.end());
+  const std::size_t n = addrs.size();
+  addrs.push_back(addrs.front());  // address n + 1
+  const std::uint64_t above = top + 1;
+  for (const ReuseProfileConfig& config : {geometry(4096, 1), geometry(64, 1)}) {
+    SCOPED_TRACE(testing::Message() << "sets=" << config.num_sets);
+    const ReuseProfile plain = observed(std::vector(addrs.begin(), addrs.end() - 1), config);
+
+    ReuseProfile full(config);
+    full.reserve_rows(top, n);
+    full.observe(addrs.data(), n);
+    expect_same_profile(plain, full);
+    EXPECT_THROW(full.observe(addrs.data() + n, 1), std::logic_error);
+    expect_same_profile(plain, full);
+
+    ReuseProfile at_once(config);
+    at_once.reserve_rows(top, n);
+    EXPECT_THROW(at_once.observe(addrs.data(), n + 1), std::logic_error);
+    EXPECT_EQ(at_once.sampled(), 0u);
+
+    ReuseProfile high(config);
+    high.reserve_rows(top, n);
+    high.observe(addrs.data(), n - 1);
+    EXPECT_THROW(high.observe(&above, 1), std::logic_error);
+    high.reset();
+    high.observe(&above, 1);  // reset() drops the commitment
+    EXPECT_EQ(high.sampled(), 1u);
+  }
 }
 
 TEST(ReuseProfile, NonPow2SetsTakeTheSlabThroughTheScalarPath) {
