@@ -51,33 +51,35 @@ trace::AccessProfile Advisor::synthesize(const AppCharacteristics& app) {
 }
 
 Advice Advisor::advise(const AppCharacteristics& app) const {
+  if (app.max_threads < 64) {
+    throw std::invalid_argument("Advisor: max_threads below the DRAM@64 baseline");
+  }
   const trace::AccessProfile profile = synthesize(app);
-
-  // Baseline the paper normalizes against: DRAM with one thread per core.
-  const RunResult base = machine_.run(profile, RunConfig{MemConfig::DRAM, 64, 0.0});
-  if (!base.feasible || base.seconds <= 0.0) {
-    throw Error::resource("advisor/baseline-infeasible",
-                          "Advisor: baseline DRAM run infeasible — footprint " +
-                              std::to_string(app.footprint_bytes) + " B exceeds DDR");
+  std::vector<int> threads;
+  for (const int t : {64, 128, 192, 256}) {
+    if (t <= app.max_threads) threads.push_back(t);
   }
 
   Advice advice;
+  advice.ranked.reserve(3 * threads.size());
+  double base_seconds = 0.0;
   for (const MemConfig config :
        {MemConfig::DRAM, MemConfig::HBM, MemConfig::CacheMode}) {
-    for (const int threads : {64, 128, 192, 256}) {
-      if (threads > app.max_threads) continue;
-      const RunResult r = machine_.run(profile, RunConfig{config, threads, 0.0});
-      Recommendation rec;
-      rec.config = config;
-      rec.threads = threads;
-      rec.feasible = r.feasible;
-      if (r.feasible && r.seconds > 0.0) {
-        rec.predicted_speedup_vs_dram64 = base.seconds / r.seconds;
-      } else {
-        rec.predicted_speedup_vs_dram64 = 0.0;
-        rec.rationale = r.infeasible_reason;
-      }
-      advice.ranked.push_back(rec);
+    const std::vector<RunResult> runs = machine_.run_threads(profile, config, threads);
+    // Baseline the paper normalizes against: DRAM with one thread per core.
+    // An infeasible run takes 0 s.
+    if (config == MemConfig::DRAM) base_seconds = runs.front().seconds;
+    if (base_seconds <= 0.0) {
+      throw Error::resource("advisor/baseline-infeasible",
+                            "Advisor: baseline DRAM run infeasible — footprint " +
+                                std::to_string(app.footprint_bytes) + " B exceeds DDR");
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const RunResult& r = runs[i];
+      const bool ran = r.feasible && r.seconds > 0.0;
+      advice.ranked.push_back(Recommendation{config, threads[i],
+                                             ran ? base_seconds / r.seconds : 0.0, r.feasible,
+                                             ran ? std::string() : r.infeasible_reason});
     }
   }
   std::stable_sort(advice.ranked.begin(), advice.ranked.end(),

@@ -6,6 +6,9 @@
 // identifies: access pattern, problem size, threading), the advisor runs the
 // machine model over the candidate configurations and returns the ranked
 // recommendation with predicted speedups and the paper-style rationale.
+// Each configuration is one Machine::run_threads call over the thread counts
+// 64..256 the app allows; DRAM's first entry (DRAM@64) is the baseline every
+// speedup is normalized to, so the app must allow at least 64 threads.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,8 @@ struct AppCharacteristics {
   /// Flops per byte of memory traffic (arithmetic intensity).
   double flops_per_byte = 0.0;
   /// Whether the code scales with hardware threads (some codes cap at one
-  /// thread per core, like the paper's DGEMM run that failed at 256).
+  /// thread per core, like the paper's DGEMM run that failed at 256). At
+  /// least 64: the DRAM@64 baseline must be a candidate.
   int max_threads = 256;
   /// Average useful bytes per random access (gather granularity).
   std::uint64_t random_granule_bytes = 8;
@@ -55,7 +59,8 @@ class Advisor {
  public:
   explicit Advisor(const Machine& machine) : machine_(machine) {}
 
-  /// Evaluate all memory configs x thread counts and rank them.
+  /// Evaluate all memory configs x thread counts and rank them. Throws
+  /// std::invalid_argument when app.max_threads < 64.
   [[nodiscard]] Advice advise(const AppCharacteristics& app) const;
 
   /// Build the synthetic profile the advisor evaluates (exposed for tests).

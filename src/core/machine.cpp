@@ -16,6 +16,12 @@ std::vector<double> all_on(const sim::MemoryTopology& topology, int tier) {
   return fractions;
 }
 
+/// Coarse-grained placement of a paper configuration: flat HBM binds to the
+/// fast tier; DRAM and cache mode keep their pages in DRAM.
+Placement placement_of(MemConfig config) {
+  return config == MemConfig::HBM ? Placement::HBM : Placement::DDR;
+}
+
 }  // namespace
 
 Machine::Machine(MachineConfig config) : config_(std::move(config)), timing_(config_.timing) {
@@ -163,18 +169,22 @@ Machine::Resolved Machine::resolve(std::uint64_t resident_bytes,
 }
 
 DetailedRunResult Machine::run_impl(const trace::AccessProfile& profile,
-                                    const RunConfig& run_config,
-                                    const std::vector<double>& fractions,
+                                    const RunConfig& run_config, const Resolved& resolved,
                                     bool want_phases) const {
+  if (!run_config.valid()) throw std::invalid_argument("Machine::run: invalid RunConfig");
   DetailedRunResult out;
   RunResult& r = out.summary;
-  r.feasible = true;
+  r.feasible = resolved.ok;
+  if (!resolved.ok) {
+    r.infeasible_reason = resolved.error;
+    return out;
+  }
 
   double latency_weight = 0.0;
   double hit_weight = 0.0;
   for (const auto& phase : profile.phases()) {
     const sim::PhaseTiming t =
-        timing_.time_phase(phase, run_config, config_.topology, fractions);
+        timing_.time_phase(phase, run_config, config_.topology, resolved.fractions);
     r.seconds += t.seconds;
     r.bytes_from_memory += t.memory_bytes;
     r.flops += phase.flops;
@@ -192,38 +202,38 @@ DetailedRunResult Machine::run_impl(const trace::AccessProfile& profile,
 
 RunResult Machine::run(const trace::AccessProfile& profile,
                        const RunConfig& run_config) const {
-  return run_detailed(profile, run_config).summary;
+  return run_impl(profile, run_config,
+                  resolve(profile.resident_bytes(), placement_of(run_config.config)),
+                  /*want_phases=*/false)
+      .summary;
+}
+
+std::vector<RunResult> Machine::run_threads(const trace::AccessProfile& profile,
+                                            MemConfig config,
+                                            const std::vector<int>& threads) const {
+  const Resolved resolved = resolve(profile.resident_bytes(), placement_of(config));
+  std::vector<RunResult> out;
+  out.reserve(threads.size());
+  for (const int t : threads) {
+    out.push_back(
+        run_impl(profile, RunConfig{config, t, 0.0}, resolved, /*want_phases=*/false).summary);
+  }
+  return out;
 }
 
 DetailedRunResult Machine::run_detailed(const trace::AccessProfile& profile,
                                         const RunConfig& run_config) const {
-  if (!run_config.valid()) throw std::invalid_argument("Machine::run: invalid RunConfig");
-
-  const Resolved resolved =
-      resolve(profile.resident_bytes(),
-              run_config.config == MemConfig::HBM ? Placement::HBM : Placement::DDR);
-  if (!resolved.ok) {
-    DetailedRunResult out;
-    out.summary.feasible = false;
-    out.summary.infeasible_reason = resolved.error;
-    return out;
-  }
-  return run_impl(profile, run_config, resolved.fractions, /*want_phases=*/true);
+  return run_impl(profile, run_config,
+                  resolve(profile.resident_bytes(), placement_of(run_config.config)),
+                  /*want_phases=*/true);
 }
 
 RunResult Machine::run_flat_placement(const trace::AccessProfile& profile, int threads,
                                       Placement placement) const {
-  const Resolved resolved = resolve(profile.resident_bytes(), placement);
-  if (!resolved.ok) {
-    RunResult r;
-    r.feasible = false;
-    r.infeasible_reason = resolved.error;
-    return r;
-  }
-  RunConfig rc;
-  rc.threads = threads;
-  rc.config = MemConfig::DRAM;  // flat mode; the split is in the fractions
-  return run_impl(profile, rc, resolved.fractions, /*want_phases=*/false).summary;
+  // Flat mode; the split is in the fractions.
+  return run_impl(profile, RunConfig{MemConfig::DRAM, threads, 0.0},
+                  resolve(profile.resident_bytes(), placement), /*want_phases=*/false)
+      .summary;
 }
 
 RunResult Machine::run_hybrid(const trace::AccessProfile& profile, int threads,

@@ -6,7 +6,10 @@
 // (TimingModel::time_phase over those shares). `run` executes one workload
 // profile under one of the paper's three configurations — including the
 // capacity feasibility rule the paper applies ("no measurements for HBM in
-// flat mode when the problem size exceeds its capacity").
+// flat mode when the problem size exceeds its capacity") — and returns the
+// whole-run summary only; `run_detailed` adds the per-phase reports.
+// `run_threads` resolves one configuration's placement once and times the
+// profile at several thread counts (the advisor's candidate grid).
 #pragma once
 
 #include "core/machine_config.hpp"
@@ -58,7 +61,13 @@ class Machine {
   [[nodiscard]] RunResult run(const trace::AccessProfile& profile,
                               const RunConfig& run_config) const;
 
-  /// Same, with the per-phase breakdown.
+  /// `run` at each of `threads` under `config`, with the placement resolved
+  /// once: element i is bit-identical to run(profile, {config, threads[i]}).
+  [[nodiscard]] std::vector<RunResult> run_threads(const trace::AccessProfile& profile,
+                                                   MemConfig config,
+                                                   const std::vector<int>& threads) const;
+
+  /// Same as `run`, with the per-phase breakdown.
   [[nodiscard]] DetailedRunResult run_detailed(const trace::AccessProfile& profile,
                                                const RunConfig& run_config) const;
 
@@ -90,10 +99,11 @@ class Machine {
                                            bool strict) const;
   [[nodiscard]] Resolved resolve_interleave(std::uint64_t resident_bytes) const;
 
+  /// Time `profile` over a resolved placement (an infeasible one yields its
+  /// reason); per-phase reports only when `want_phases`.
   [[nodiscard]] DetailedRunResult run_impl(const trace::AccessProfile& profile,
                                            const RunConfig& run_config,
-                                           const std::vector<double>& fractions,
-                                           bool want_phases) const;
+                                           const Resolved& resolved, bool want_phases) const;
 
   MachineConfig config_;
   sim::TimingModel timing_;

@@ -461,10 +461,10 @@ bool SweepCache::deserialize(const std::string& text) {
         &key.profile_hash, &key.machine_hash, &config, &key.threads, &feasible,
         &r.seconds, &r.bytes_from_memory, &r.flops, &r.avg_latency_ns,
         &r.achieved_bw_gbs, &r.mcdram_hit_rate, &consumed);
-    // Skip malformed lines, configs outside the enum and negative thread
-    // counts; keep the rest.
+    // Skip malformed lines, configs outside the enum and thread counts no
+    // RunConfig accepts; keep the rest.
     if (fields != 11 || config < 0 || config > static_cast<int>(MemConfig::CacheMode) ||
-        key.threads < 0) {
+        key.threads < 1) {
       continue;
     }
     key.config = static_cast<MemConfig>(config);

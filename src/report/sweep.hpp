@@ -137,7 +137,7 @@ struct SweepKey {
   std::uint64_t profile_hash = 0;
   std::uint64_t machine_hash = 0;
   MemConfig config = MemConfig::DRAM;
-  int threads = 0;
+  int threads = 64;  ///< RunConfig's default; deserialize() skips threads < 1
 
   friend bool operator==(const SweepKey&, const SweepKey&) = default;
 };

@@ -104,11 +104,12 @@ std::vector<std::uint64_t> require_byte_counts(const Value& field, const std::st
   return out;
 }
 
-int require_threads(const Value& body, const std::string& key, int fallback) {
+int require_threads(const Value& body, const std::string& key, int fallback, int lo = 1) {
   const double raw = number_or(body, key, fallback);
-  if (raw < 1.0 || raw > 4096.0 || raw != std::floor(raw)) {
-    throw Error::corrupt_input("service/bad-field",
-                               "field '" + key + "' must be an integer in [1, 4096]");
+  if (raw < lo || raw > 4096.0 || raw != std::floor(raw)) {
+    throw Error::corrupt_input("service/bad-field", "field '" + key +
+                                                        "' must be an integer in [" +
+                                                        std::to_string(lo) + ", 4096]");
   }
   return static_cast<int>(raw);
 }
@@ -259,12 +260,13 @@ report::CapacityGrid parse_capacity_grid(const Value& body,
 }
 
 Value recommendation_json(const Recommendation& rec) {
-  Value out = Value::object();
-  out.set("config", to_string(rec.config));
-  out.set("threads", rec.threads);
-  out.set("speedup_vs_dram64", rec.predicted_speedup_vs_dram64);
-  out.set("feasible", rec.feasible);
-  if (!rec.rationale.empty()) out.set("rationale", rec.rationale);
+  repro::json::Object out;
+  out.reserve(5);
+  out.emplace_back("config", to_string(rec.config));
+  out.emplace_back("threads", rec.threads);
+  out.emplace_back("speedup_vs_dram64", rec.predicted_speedup_vs_dram64);
+  out.emplace_back("feasible", rec.feasible);
+  if (!rec.rationale.empty()) out.emplace_back("rationale", rec.rationale);
   return out;
 }
 
@@ -617,7 +619,8 @@ Value PlacementService::do_placement(const Value& body,
                                "field 'regular_fraction' must be in [0, 1]");
   }
   app.flops_per_byte = number_or(app_body, "flops_per_byte", 0.0);
-  app.max_threads = require_threads(app_body, "max_threads", app.max_threads);
+  // The advisor's DRAM@64 baseline must be a candidate.
+  app.max_threads = require_threads(app_body, "max_threads", app.max_threads, 64);
   app.random_granule_bytes =
       static_cast<std::uint64_t>(number_or(app_body, "random_granule_bytes", 8.0));
 
@@ -629,17 +632,17 @@ Value PlacementService::do_placement(const Value& body,
   }
 
   const Advisor advisor(machine);
-  const Advice advice = advisor.advise(app);
+  Advice advice = advisor.advise(app);
 
-  Value out = Value::object();
-  out.set("app", app.name);
-  out.set("classification", advice.classification);
-  out.set("best", recommendation_json(advice.best));
-  Value ranked = Value::array();
-  for (const Recommendation& rec : advice.ranked) {
-    ranked.push_back(recommendation_json(rec));
-  }
-  out.set("ranked", std::move(ranked));
+  repro::json::Array ranked;
+  ranked.reserve(advice.ranked.size());
+  for (const Recommendation& rec : advice.ranked) ranked.push_back(recommendation_json(rec));
+  repro::json::Object out;
+  out.reserve(4);
+  out.emplace_back("app", std::move(app.name));
+  out.emplace_back("classification", std::move(advice.classification));
+  out.emplace_back("best", recommendation_json(advice.best));
+  out.emplace_back("ranked", std::move(ranked));
   return out;
 }
 

@@ -236,40 +236,19 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
       while (fractions[remainder_tier - 1] <= 0.0) --remainder_tier;
       --remainder_tier;
     }
-    struct Share {
-      int tier = -1;  // -1 = the cache-mode blended path
-      double bytes = 0.0;
-      double conc_share = 0.0;
-    };
-    std::vector<Share> shares;
-    double bytes_before = 0.0;
-    double conc_before = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int tier = static_cast<int>(i);
-      if (cache_mode && (tier == dram || tier == front)) continue;
-      const Share share =
-          i == remainder_tier
-              ? Share{tier, mem_bytes - bytes_before, 1.0 - conc_before}
-              : Share{tier, mem_bytes * fractions[i], fractions[i]};
-      bytes_before += share.bytes;
-      conc_before += share.conc_share;
-      shares.push_back(share);
-    }
-    if (cache_mode) {
-      // Everything not placed on a direct tier drains through the cache.
-      shares.push_back(Share{-1, mem_bytes - bytes_before, 1.0 - conc_before});
-    }
 
+    // Each share is timed as soon as it is known, in tier order with the
+    // cache-mode blend last; the slowest share (the first on ties) dominates.
     double dominant_seconds = -1.0;
     double dominant_latency = 0.0;
     bool dominant_capped = false;
     double hit_rate = 1.0;
-    for (const Share& share : shares) {
-      if (share.bytes <= 0.0) continue;
+    const auto time_share = [&](int tier, double bytes, double conc_share) {
+      if (bytes <= 0.0) return;
       double seconds = 0.0;
       double latency_ns = 0.0;
       bool capped = false;
-      if (share.tier == -1) {
+      if (tier == -1) {
         // The cache-mode blend: a direct-mapped front-tier cache over the
         // DRAM tier.
         const params::NodeParams& hbm_node =
@@ -281,7 +260,7 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         const double hbm_cap = node_cap_gbs(phase, hbm_node);
         const double ddr_cap = node_cap_gbs(phase, ddr_node);
         const double blended_cap = mcdram_.effective_bandwidth_gbs(hit, hbm_cap, ddr_cap);
-        const double conc = concurrency_lines(phase, threads) * share.conc_share;
+        const double conc = concurrency_lines(phase, threads) * conc_share;
         const double lat_hbm = effective_latency_ns(phase, hbm_node, ddr_node, 0.0);
         const double lat_ddr = effective_latency_ns(phase, ddr_node, ddr_node, 0.0);
         const double lat = mcdram_.effective_latency_ns(hit, lat_hbm, lat_ddr);
@@ -289,11 +268,11 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         const double bw = std::min(blended_cap, demand);
         capped = demand >= blended_cap;
         latency_ns = capped ? conc * static_cast<double>(params::kLineBytes) / bw : lat;
-        seconds = share.bytes / (bw * kNsPerSecond);
+        seconds = bytes / (bw * kNsPerSecond);
       } else {
-        const NodePath path = time_on_node(
-            phase, topology.tier(static_cast<std::size_t>(share.tier)).params, ddr_node,
-            threads, share.bytes, share.conc_share);
+        const NodePath path =
+            time_on_node(phase, topology.tier(static_cast<std::size_t>(tier)).params,
+                         ddr_node, threads, bytes, conc_share);
         seconds = path.seconds;
         latency_ns = path.latency_ns;
         capped = path.capped;
@@ -304,7 +283,22 @@ PhaseTiming TimingModel::time_phase(const trace::AccessPhase& phase, const RunCo
         dominant_capped = capped;
       }
       mem_seconds = std::max(mem_seconds, seconds);
+    };
+
+    double bytes_before = 0.0;
+    double conc_before = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int tier = static_cast<int>(i);
+      if (cache_mode && (tier == dram || tier == front)) continue;
+      const bool rest = i == remainder_tier;
+      const double bytes = rest ? mem_bytes - bytes_before : mem_bytes * fractions[i];
+      const double conc_share = rest ? 1.0 - conc_before : fractions[i];
+      bytes_before += bytes;
+      conc_before += conc_share;
+      time_share(tier, bytes, conc_share);
     }
+    // Everything not placed on a direct tier drains through the cache.
+    if (cache_mode) time_share(-1, mem_bytes - bytes_before, 1.0 - conc_before);
     out.effective_latency_ns = dominant_latency;
     out.bandwidth_bound = dominant_capped;
     out.concurrency_lines = concurrency_lines(phase, threads);

@@ -120,6 +120,20 @@ TEST(AdvisorSynthesize, BaselineInfeasibleFootprintThrowsOnAdvise) {
   EXPECT_THROW((void)Advisor(machine).advise(app), std::runtime_error);
 }
 
+TEST(AdvisorSynthesize, MaxThreadsBelowTheBaselineThrowsOnAdvise) {
+  // Every candidate under 64 threads would be skipped, leaving no DRAM@64
+  // baseline and an empty ranking.
+  Machine machine;
+  AppCharacteristics app;
+  app.footprint_bytes = GiB;
+  for (const int max_threads : {1, 32, 63}) {
+    app.max_threads = max_threads;
+    EXPECT_THROW((void)Advisor(machine).advise(app), std::invalid_argument) << max_threads;
+  }
+  app.max_threads = 64;
+  EXPECT_EQ(Advisor(machine).advise(app).ranked.size(), 3u);
+}
+
 TEST(AdvisorXeonMax, RationaleNamesTheFastTierAndItsCapacity) {
   const Machine machine(MachineConfig::xeon_max());
   const Advisor advisor(machine);

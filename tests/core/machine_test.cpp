@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "core/fault/error.hpp"
 #include "workloads/gups.hpp"
 #include "workloads/minife.hpp"
+#include "workloads/registry.hpp"
 #include "workloads/stream.hpp"
 
 namespace knl {
@@ -138,6 +142,45 @@ TEST(Machine, HybridBeatsAllDramWhenHotDataFitsFlat) {
 TEST(Machine, InvalidRunConfigThrows) {
   Machine machine;
   EXPECT_THROW((void)machine.run(profile_of_bytes(GiB), RunConfig{MemConfig::DRAM, 0}),
+               std::invalid_argument);
+}
+
+TEST(Machine, RunThreadsMatchesRun) {
+  // One placement for every thread count gives each count exactly what a
+  // separate run gives: every number bit for bit, and the same infeasible
+  // reason text, across the registry workloads on both sides of each
+  // machine's fast-tier and DDR capacities.
+  const std::vector<int> threads = {1, 64, 100, 128, 191, 192, 256, 300};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const MachineConfig& cfg :
+       {MachineConfig::knl7210(), MachineConfig::xeon_max(), MachineConfig::knl_nvm()}) {
+    const Machine machine(cfg);
+    for (const auto& entry : workloads::registry()) {
+      for (const std::uint64_t bytes : {64 * MiB, 8 * GiB, 17 * GiB, 65 * GiB, 97 * GiB}) {
+        const trace::AccessProfile profile = entry.make(bytes)->profile();
+        for (const MemConfig config :
+             {MemConfig::DRAM, MemConfig::HBM, MemConfig::CacheMode}) {
+          const std::vector<RunResult> runs = machine.run_threads(profile, config, threads);
+          ASSERT_EQ(runs.size(), threads.size());
+          for (std::size_t i = 0; i < threads.size(); ++i) {
+            SCOPED_TRACE(cfg.topology.name + " " + entry.info.name + " " + std::to_string(bytes) + " " +
+                         to_string(config) + " @" + std::to_string(threads[i]));
+            const RunResult one = machine.run(profile, RunConfig{config, threads[i]});
+            const RunResult& r = runs[i];
+            EXPECT_EQ(bits(r.seconds), bits(one.seconds));
+            EXPECT_EQ(bits(r.bytes_from_memory), bits(one.bytes_from_memory));
+            EXPECT_EQ(bits(r.flops), bits(one.flops));
+            EXPECT_EQ(bits(r.avg_latency_ns), bits(one.avg_latency_ns));
+            EXPECT_EQ(bits(r.achieved_bw_gbs), bits(one.achieved_bw_gbs));
+            EXPECT_EQ(bits(r.mcdram_hit_rate), bits(one.mcdram_hit_rate));
+            EXPECT_EQ(r.feasible, one.feasible);
+            EXPECT_EQ(r.infeasible_reason, one.infeasible_reason);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW((void)Machine().run_threads(profile_of_bytes(GiB), MemConfig::DRAM, {64, 0}),
                std::invalid_argument);
 }
 

@@ -29,7 +29,7 @@ RunResult result_for(double seconds) {
 }
 
 SweepKey key_for(std::uint64_t n) {
-  return SweepKey{n, ~n, MemConfig::DRAM, static_cast<int>(n % 64)};
+  return SweepKey{n, ~n, MemConfig::DRAM, static_cast<int>(n % 64) + 1};
 }
 
 /// Reset the process-wide cache around every test: these tests share the
@@ -135,6 +135,21 @@ TEST_F(SweepCacheTest, LoadSkipsKeysSerializeNeverWrites) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.lookup(SweepKey{1, ~1ull, MemConfig::CacheMode, 64}).has_value());
   EXPECT_FALSE(cache.lookup(SweepKey{1, ~1ull, MemConfig::DRAM, 64}).has_value());
+}
+
+// Regression: the skip rule once let a thread count of 0 through, although
+// no RunConfig with 0 threads is valid. Such a line is skipped; the one
+// beside it still loads.
+TEST_F(SweepCacheTest, LoadSkipsZeroThreadLines) {
+  auto& cache = SweepCache::instance();
+  const auto line = [](const char* threads) {
+    return std::string("0000000000000001 fffffffffffffffe 0 ") + threads +
+           " 1 0x1p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 -\n";
+  };
+  EXPECT_TRUE(cache.deserialize(cache.serialize() + line("0") + line("1")));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.lookup(SweepKey{1, ~1ull, MemConfig::DRAM, 0}).has_value());
+  EXPECT_TRUE(cache.lookup(SweepKey{1, ~1ull, MemConfig::DRAM, 1}).has_value());
 }
 
 TEST_F(SweepCacheTest, LoadRejectsForeignSchemaHeader) {

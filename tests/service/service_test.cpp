@@ -73,6 +73,19 @@ TEST_F(ServiceTest, PlacementValidatesAndRanks) {
   EXPECT_EQ(r.body.find("classification")->as_string(), "bandwidth-bound");
 }
 
+TEST_F(ServiceTest, PlacementMaxThreadsBelowBaselineIs400) {
+  // The advisor normalizes to DRAM@64, so a cap under 64 threads is a bad
+  // request, not a crash on an empty ranking; the service keeps answering.
+  const ServiceResponse r = service_.handle_text(
+      "POST", "/placement", R"({"footprint_bytes": 1073741824, "max_threads": 32})");
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(r.body.dump(0),
+            R"({"error": {"status": 400, "category": "corrupt-input", )"
+            R"("code": "service/bad-field", )"
+            R"("message": "field 'max_threads' must be an integer in [64, 4096]"}})");
+  EXPECT_EQ(service_.handle("GET", "/healthz", Value()).status, 200);
+}
+
 TEST_F(ServiceTest, PlacementMissingFootprintIs400) {
   const ServiceResponse r = service_.handle("POST", "/placement", Value::object());
   EXPECT_EQ(r.status, 400);
